@@ -1,9 +1,10 @@
 """Lagrangian subspaces of split orthogonal spaces.
 
-Covers exhaustive enumeration over small prime fields, the two component
-structure of the even orthogonal Grassmannian (read off from intersection
-parity against a reference), the two Lagrangian lifts of an odd space's
-Lagrangian into a rank-one extension, and the reverse restriction map.
+Covers enumeration over small prime fields by the cells of a Witt basis,
+each Lagrangian produced once, the two component structure of the even
+orthogonal Grassmannian (read off from intersection parity against a
+reference), the two Lagrangian lifts of an odd space's Lagrangian into a
+rank-one extension, and the reverse restriction map.
 """
 
 import itertools
@@ -15,7 +16,7 @@ from .errors import (AmbientMismatch, CapExceeded, DegenerateForm,
                      NotLagrangian, NotSplit, OddAmbient, OutOfRange,
                      UnsupportedContext)
 from .fields import PrimeField
-from .linalg import Matrix, Subspace, vec_mat
+from .linalg import Matrix, Subspace, dot, vec_mat
 from .orthospace import (GramSpace, extend_by_scalar, is_isotropic,
                          orthogonal_complement, witt_decompose)
 
@@ -74,9 +75,8 @@ def _isotropic_reduction(space, s):
     """
     field = space.field
     perp = orthogonal_complement(space, s)
-    s_pivots = set(s.basis.rref()[1])
-    perp_pivots = perp.basis.rref()[1]
-    rep_rows = [row for row, piv in zip(perp.basis.entries, perp_pivots)
+    s_pivots = set(s.pivots)
+    rep_rows = [row for row, piv in zip(perp.basis.entries, perp.pivots)
                 if piv not in s_pivots]
     reps = Matrix(field, rep_rows)
     quotient = GramSpace(field, reps * space.gram * reps.T)
@@ -88,45 +88,42 @@ def _isotropic_reduction(space, s):
     return quotient, lift
 
 
-def _isotropic_vectors(space):
-    """Projective representatives (first nonzero coordinate 1) of the quadric."""
-    field, d = space.field, space.dim
-    zero, one = field.zero, field.one
-    elems = field.elements()
-    out = []
-    for first in range(d):
-        for rest in itertools.product(range(field.p), repeat=d - first - 1):
-            v = (zero,) * first + (one,) + tuple(elems[r] for r in rest)
-            if space.qvalue(v) == zero:
-                out.append(v)
-    return out
+def _cells(field, gram, start):
+    """Rows spanning each Lagrangian of Witt coordinates start.., once.
 
-
-def _enum(space):
-    field, d = space.field, space.dim
-    if d <= 1:
-        return {Subspace.zero_subspace(field, d)}
-    if d == 2:
-        wd = witt_decompose(space)
-        rows = wd.basis_rows
-        return {Subspace.span(field, 2, [rows[0]]),
-                Subspace.span(field, 2, [rows[1]])}
-    out = set()
-    for v in _isotropic_vectors(space):
-        line = Subspace.span(field, d, [v])
-        quotient, lift = _isotropic_reduction(space, line)
-        for sub in _enum(quotient):
-            out.add(lift(sub))
-    return out
+    With (e, f) the hyperbolic pair at start and M a Lagrangian of the later
+    coordinates U, the Lagrangians are e + M and, for each w in U vanishing
+    on the RREF pivots of M, the span of m - B(w,m) e (m in M) and
+    f + w - Q(w)/2 e.
+    """
+    d = gram.nrows
+    if d - start < 2:
+        yield []
+        return
+    zero, one, two = field.zero, field.one, field.scalar(2)
+    e = tuple(one if j == start else zero for j in range(d))
+    for m_rows in _cells(field, gram, start + 2):
+        yield [e] + m_rows
+        pivots = Matrix(field, m_rows).rref()[1]
+        free = [j for j in range(start + 2, d) if j not in pivots]
+        for vals in itertools.product(field.elements(), repeat=len(free)):
+            w = [zero] * d
+            for j, x in zip(free, vals):
+                w[j] = x
+            wg = vec_mat(tuple(w), gram)
+            rows = [m[:start] + (-dot(wg, m),) + m[start + 1:] for m in m_rows]
+            w[start], w[start + 1] = -dot(wg, w) / two, one
+            yield rows + [tuple(w)]
 
 
 def enumerate_lagrangians(space, cap=DEFAULT_ENUM_CAP):
     """All Lagrangians of a split space over F_p, in canonical order.
 
-    The recursion picks every isotropic line, passes to the quotient of its
-    perp, and lifts the quotient's Lagrangians back; duplicates collapse by
-    structural equality.  Refuses dimensions above the cap because the output
-    grows roughly like p^(dim^2/4).
+    In the Witt basis of witt_decompose the Lagrangians fall into the cells
+    of the recursion in _cells, so each is produced exactly once and none is
+    deduplicated; there are prod(p^i + 1), i = 0..n-1 in dimension 2n and
+    i = 1..n in dimension 2n+1.  Refuses dimensions above the cap because
+    that count grows roughly like p^(dim^2/4).
     """
     if not isinstance(space.field, PrimeField):
         raise UnsupportedContext("enumeration is implemented over prime fields")
@@ -135,10 +132,15 @@ def enumerate_lagrangians(space, cap=DEFAULT_ENUM_CAP):
             f"dimension {space.dim} exceeds the enumeration cap {cap}")
     if not space.nondegenerate:
         raise DegenerateForm("enumeration needs a nondegenerate form")
-    if witt_decompose(space).witt_index != space.dim // 2:
+    wd = witt_decompose(space)
+    if wd.witt_index != space.dim // 2:
         raise NotSplit("the form is not split, so it has no Lagrangians "
                        "of half dimension")
-    return sorted(_enum(space), key=lambda s: s.key)
+    field, to_ambient = space.field, wd.change_of_basis.T
+    lagrangians = (Subspace.span(field, space.dim,
+                                 [vec_mat(r, to_ambient) for r in rows])
+                   for rows in _cells(field, wd.block_gram, 0))
+    return sorted(lagrangians, key=lambda s: s.key)
 
 
 def component_of(space, f, reference):

@@ -216,7 +216,9 @@ class Subspace:
 
     @property
     def pivots(self):
-        return self.basis.rref()[1]
+        """Pivot columns, read off the canonical basis without reducing it."""
+        return tuple(next(j for j, x in enumerate(row) if x)
+                     for row in self.basis.entries)
 
     def _check_ambient(self, other):
         if self.field != other.field:
@@ -271,8 +273,7 @@ class Subspace:
             if any(v):
                 raise AmbientMismatch("vector is not in the subspace")
             return ()
-        pivots = self.basis.rref()[1]
-        coords = tuple(v[p] for p in pivots)
+        coords = tuple(v[p] for p in self.pivots)
         if vec_mat(coords, self.basis) != v:
             raise AmbientMismatch("vector is not in the subspace")
         return coords

@@ -274,20 +274,13 @@ def witt_decompose(space, height_bound=DEFAULT_HEIGHT_BOUND):
     block = Matrix(field, block)
     if cob.T * g * cob != block:
         raise AssertionError("internal error: change of basis fails to block")
-    if isinstance(field, PrimeField) and comp.nrows:
-        _assert_anisotropic_fp(field, aniso_gram)
-    return WittDecomposition(space, cob, witt_index, aniso, block)
-
-
-def _assert_anisotropic_fp(field, gram):
-    # exhaustive re-check; the remainder over F_p always has dimension <= 2
-    k = gram.nrows
-    for cand in itertools.product(range(field.p), repeat=k):
-        if not any(cand):
-            continue
-        v = tuple(field.scalar(c) for c in cand)
-        if dot(vec_mat(v, gram), v) == field.zero:
+    if isinstance(field, PrimeField) and comp.nrows > 1:
+        # over F_p the remainder is at most a plane, and a plane is
+        # anisotropic iff -det is a nonsquare
+        a = aniso_gram
+        if comp.nrows > 2 or is_square(a[0, 1] * a[1, 0] - a[0, 0] * a[1, 1])[0]:
             raise AssertionError("internal error: anisotropic part has a zero")
+    return WittDecomposition(space, cob, witt_index, aniso, block)
 
 
 def witt_index(space, height_bound=DEFAULT_HEIGHT_BOUND):

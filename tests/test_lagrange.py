@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ortholag import (GF, QQ, AmbientMismatch, CapExceeded, DegenerateForm,
                       DegenerateRestriction, DimMismatch, GramSpace, Matrix,
@@ -60,6 +62,36 @@ class TestEnumeration:
         # full subspace scan oracle, independent of the package recursion
         want = oracles.lagrangian_bases(int_gram(space), q)
         assert {int_rows(s) for s in got} == want
+
+    @pytest.mark.parametrize("q,n,shape", [(3, 3, "odd"), (5, 3, "even")])
+    def test_beyond_the_subspace_scan(self, q, n, shape):
+        # too large for the oracle scan; F_3 in dimension 7 is the case where
+        # a complement read off non-reduced rows yields duplicates
+        space = standard_form(GF(q), n, shape)
+        got = enumerate_lagrangians(space)
+        assert len(got) == og_count(n, q, shape == "even")
+        assert len(set(got)) == len(got)
+        assert all(is_lagrangian(space, s) for s in got)
+        assert got == sorted(got, key=lambda s: s.key)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_conjugated_split_forms_match_oracle(self, data):
+        p = data.draw(st.sampled_from((3, 5)))
+        d = data.draw(st.integers(2, 5))
+        g = [[int(i // 2 == j // 2 and i != j) for j in range(d)]
+             for i in range(d)]
+        if d % 2:
+            g[-1][-1] = data.draw(st.integers(1, p - 1))
+        row = st.lists(st.integers(0, p - 1), min_size=d, max_size=d)
+        b = data.draw(st.lists(row, min_size=d, max_size=d).filter(
+            lambda m: oracles.rank_mod_p(m, p) == d))
+        gram = [[sum(b[i][k] * g[k][l] * b[j][l]
+                     for k in range(d) for l in range(d)) % p
+                 for j in range(d)] for i in range(d)]
+        got = enumerate_lagrangians(GramSpace(GF(p), gram))
+        assert len(set(got)) == len(got)
+        assert {int_rows(s) for s in got} == oracles.lagrangian_bases(gram, p)
 
     def test_order_is_canonical_and_stable(self):
         space = standard_form(F3, 2, "even")

@@ -1,6 +1,7 @@
 """Bilinear spaces and Witt decomposition, cross-checked against oracles.py."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -206,6 +207,19 @@ class TestWittDecomposition:
                     assert got == want
                     if dim % 2:
                         assert got == dim // 2  # odd dims are always split
+
+    @pytest.mark.parametrize("p", [1009, 7919])
+    def test_anisotropic_planes_over_large_primes(self, p):
+        rng = random.Random(p)
+        nonsquares = [r for r in range(2, p) if pow(r, (p - 1) // 2, p) != 1]
+        for _ in range(5):
+            # 1 + 2bxy + (b^2 - r) y^2 = (x + by)^2 - r y^2 with r a nonsquare
+            b, r = rng.randrange(p), rng.choice(nonsquares)
+            wd = witt_decompose(GramSpace(GF(p), [[1, b], [b, b * b - r]]))
+            assert wd.witt_index == 0
+            (a, c), (c2, e) = [[x.value for x in row]
+                               for row in wd.anisotropic_part.gram.entries]
+            assert pow((c * c2 - a * e) % p, (p - 1) // 2, p) == p - 1
 
     def test_rationals_definite_is_anisotropic(self):
         wd = witt_decompose(GramSpace(QQ, [[1, 0], [0, 1]]))
