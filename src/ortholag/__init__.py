@@ -10,9 +10,10 @@ form dimension formulas for strata of odd orthogonal bundle moduli.
 from . import jsonio, strata, verify
 from .errors import (AmbientMismatch, CapExceeded, DegenerateForm,
                      DegenerateRestriction, DimMismatch, DivisionByZero,
-                     IsotropicSearchExhausted, MixedContexts,
-                     NonSplitExtension, NotLagrangian, NotSplit, OddAmbient,
-                     OrtholagError, OutOfRange, UnsupportedContext, ZeroScalar)
+                     IsotropicSearchExhausted, MalformedInput, MixedContexts,
+                     NonSplitExtension, NotLagrangian, NotSplit, NotSymmetric,
+                     OddAmbient, OrtholagError, OutOfRange, UnsupportedContext,
+                     ZeroScalar)
 from .fields import GF, QQ, PrimeField, Rationals, Scalar, is_square
 from .lagrange import (ComponentLabel, CorankRecord, LiftPair,
                        complement_corank_law, component_of, enumerate_lagrangians,

@@ -9,12 +9,11 @@ built-in verification sweeps (also reachable as `og verify`).  Exit codes:
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from .errors import OrtholagError
+from .errors import MalformedInput, OrtholagError
 from .fields import GF
 from .jsonio import stratum_row_to_json, subspace_from_json, subspace_to_json, \
-    gramspace_from_json, liftpair_to_json
+    gramspace_from_json, liftpair_to_json, _fraction
 from .lagrange import (DEFAULT_ENUM_CAP, component_of, enumerate_lagrangians,
                        lift_odd_to_even)
 from .orthospace import standard_form
@@ -116,20 +115,31 @@ def _payload(inline, path, what):
     if inline is not None:
         return inline
     if path is not None:
-        with open(path) as fh:
-            return fh.read()
+        try:
+            with open(path) as fh:
+                return fh.read()
+        except OSError as exc:
+            raise MalformedInput(f"cannot read {what} from {path}: "
+                                 f"{exc.strerror}") from exc
     raise OrtholagError(f"missing {what}: pass it inline or via a file")
 
 
+def _json_arg(text):
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise MalformedInput(str(exc)) from exc
+
+
 def _subspace_arg(field, text, ambient):
-    obj = json.loads(text)
+    obj = _json_arg(text)
     if isinstance(obj, dict):
         return subspace_from_json(field, obj)
     return subspace_from_json(field, {"ambient": ambient, "basis": obj})
 
 
 def _scalar_arg(field, text):
-    return field.scalar(Fraction(text))
+    return field.scalar(_fraction(text))
 
 
 def _fraction_json(f):
@@ -183,7 +193,7 @@ def _cmd_og(args):
     if args.cmd == "enumerate":
         if args.gram is not None or args.gram_file is not None:
             text = _payload(args.gram, args.gram_file, "Gram matrix")
-            obj = json.loads(text)
+            obj = _json_arg(text)
             if isinstance(obj, dict):
                 space = gramspace_from_json(obj)
             else:
@@ -224,7 +234,7 @@ def _cmd_verify(args):
     values = {"n": args.n, "q": args.q, "cap": args.cap,
               "samples": args.samples, "seed": args.seed,
               "g_max": args.gmax, "n_max": args.nmax,
-              "c": Fraction(args.c) if args.c is not None else None}
+              "c": _fraction(args.c) if args.c is not None else None}
     for key in SUITE_OPTS[args.suite]:
         if values.get(key) is not None:
             kwargs[key] = values[key]
@@ -247,9 +257,8 @@ def main(argv=None):
                 return _cmd_verify(args)
             return _cmd_og(args)
         return _cmd_verify(args)
-    except (OrtholagError, ValueError, KeyError, ZeroDivisionError) as exc:
-        # ValueError also covers malformed JSON payloads and Fraction parses;
-        # ZeroDivisionError covers scalar arguments like --c 1/0
+    except OrtholagError as exc:
+        # anything else is not a domain error and keeps its traceback
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -67,3 +67,11 @@ class CapExceeded(OrtholagError, ValueError):
 
 class OutOfRange(OrtholagError, ValueError):
     """A numeric parameter lies outside the documented domain."""
+
+
+class NotSymmetric(OrtholagError, ValueError):
+    """A Gram matrix is not symmetric."""
+
+
+class MalformedInput(OrtholagError, ValueError):
+    """A JSON payload or a number given as text cannot be read."""

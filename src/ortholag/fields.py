@@ -1,22 +1,47 @@
 """Exact scalar arithmetic over the rationals and over odd prime fields.
 
 A Field object is a context; a Scalar is an immutable value tagged with its
-context.  Rational values are stdlib Fractions, prime field values are ints
-reduced to [0, p).  Characteristic 2 is rejected everywhere because the
+context.  The raw value inside a Scalar is a stdlib Fraction over Q and an
+int reduced to [0, p) over F_p.  Field.p is the characteristic, 0 for Q.
+Field.raw coerces any accepted input to a raw value, so the linear algebra
+kernels in linalg run on raw values and make Scalars only for the Matrix or
+Subspace they return.  Characteristic 2 is rejected everywhere because the
 bilinear form machinery divides by 2.
 """
 
 from fractions import Fraction
-from math import isqrt
 
 from .errors import DivisionByZero, MixedContexts, UnsupportedContext, ZeroScalar
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
 
 def _is_prime(n):
+    """Deterministic primality test; refuses n at or above _MR_BOUND."""
     if n < 2:
         return False
-    for d in range(2, isqrt(n) + 1):
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_BOUND:
+        raise UnsupportedContext(
+            f"primality of {n} is only certified below {_MR_BOUND}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 
@@ -51,11 +76,19 @@ class Field:
 
     def scalar(self, value):
         """Coerce value (int, Fraction, str like '3/4', or Scalar) into this field."""
+        if isinstance(value, Scalar) and value.field == self:
+            return value
+        return Scalar(self, self.raw(value))
+
+    def raw(self, value):
+        """Coerce value like scalar() does, but return the raw value."""
+        if type(value) is int:
+            return value % self.p if self.p else Fraction(value)
         if isinstance(value, Scalar):
             if value.field != self:
                 raise MixedContexts(f"scalar from {value.field} used in {self}")
-            return value
-        return Scalar(self, self._canon(value))
+            return value.value
+        return self._canon(value)
 
     @property
     def zero(self):
@@ -75,7 +108,7 @@ class Field:
 class Rationals(Field):
     """The field of rational numbers, characteristic 0."""
 
-    characteristic = 0
+    characteristic = p = 0
 
     def _canon(self, value):
         if isinstance(value, str):

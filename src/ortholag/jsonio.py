@@ -8,11 +8,37 @@ a Gram space is {"field": {...}, "gram": [[...]]}.
 
 from fractions import Fraction
 
-from .errors import UnsupportedContext
+from .errors import MalformedInput, UnsupportedContext
 from .fields import GF, QQ, PrimeField, Rationals
 from .lagrange import LiftPair
 from .linalg import Subspace
 from .orthospace import GramSpace
+
+
+def _fraction(text):
+    """Fraction(text), with unreadable text raised as MalformedInput."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise MalformedInput(str(exc)) from exc
+
+
+def _get(obj, key):
+    """obj[key], with a missing key or a non-object raised as MalformedInput."""
+    if not isinstance(obj, dict):
+        raise MalformedInput(f"expected a JSON object, got {obj!r}")
+    try:
+        return obj[key]
+    except KeyError as exc:
+        raise MalformedInput(str(exc)) from exc
+
+
+def _rows(obj, key):
+    """obj[key] as a list of rows, anything else raised as MalformedInput."""
+    rows = _get(obj, key)
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise MalformedInput(f"{key} must be a list of rows, got {rows!r}")
+    return rows
 
 
 def field_to_json(field):
@@ -24,11 +50,11 @@ def field_to_json(field):
 
 
 def field_from_json(obj):
-    kind = obj.get("type")
+    kind = obj.get("type") if isinstance(obj, dict) else None
     if kind == "Q":
         return QQ
     if kind == "Fp":
-        return GF(obj["p"])
+        return GF(_get(obj, "p"))
     raise UnsupportedContext(f"unknown field description {obj!r}")
 
 
@@ -43,9 +69,9 @@ def scalar_to_json(s):
 
 def scalar_from_json(field, obj):
     if isinstance(obj, bool) or not isinstance(obj, (int, str)):
-        raise ValueError(f"cannot read scalar from {obj!r}")
+        raise MalformedInput(f"cannot read scalar from {obj!r}")
     if isinstance(obj, str):
-        return field.scalar(Fraction(obj))
+        return field.scalar(_fraction(obj))
     return field.scalar(obj)
 
 
@@ -56,8 +82,8 @@ def subspace_to_json(s):
 
 
 def subspace_from_json(field, obj):
-    ambient = obj["ambient"]
-    rows = [[scalar_from_json(field, x) for x in row] for row in obj["basis"]]
+    ambient = _get(obj, "ambient")
+    rows = [[scalar_from_json(field, x) for x in row] for row in _rows(obj, "basis")]
     return Subspace.span(field, ambient, rows)
 
 
@@ -68,8 +94,8 @@ def gramspace_to_json(space):
 
 
 def gramspace_from_json(obj):
-    field = field_from_json(obj["field"])
-    rows = [[scalar_from_json(field, x) for x in row] for row in obj["gram"]]
+    field = field_from_json(_get(obj, "field"))
+    rows = [[scalar_from_json(field, x) for x in row] for row in _rows(obj, "gram")]
     return GramSpace(field, rows)
 
 
@@ -79,8 +105,8 @@ def liftpair_to_json(pair):
 
 
 def liftpair_from_json(field, obj):
-    return LiftPair(plus_lift=subspace_from_json(field, obj["plus"]),
-                    minus_lift=subspace_from_json(field, obj["minus"]))
+    return LiftPair(plus_lift=subspace_from_json(field, _get(obj, "plus")),
+                    minus_lift=subspace_from_json(field, _get(obj, "minus")))
 
 
 def stratum_row_to_json(row):

@@ -8,7 +8,6 @@ rank-one extension, and the reverse restriction map.
 """
 
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (AmbientMismatch, CapExceeded, DegenerateForm,
@@ -16,7 +15,7 @@ from .errors import (AmbientMismatch, CapExceeded, DegenerateForm,
                      NotLagrangian, NotSplit, OddAmbient, OutOfRange,
                      UnsupportedContext)
 from .fields import PrimeField
-from .linalg import Matrix, Subspace, dot, vec_mat
+from .linalg import Matrix, Subspace, _dot, _matmul, _raw, _rref, _vec_mat, vec_mat
 from .orthospace import (GramSpace, extend_by_scalar, is_isotropic,
                          orthogonal_complement, witt_decompose)
 
@@ -26,8 +25,7 @@ SAME = "same"
 OTHER = "other"
 
 
-@dataclass(frozen=True)
-class ComponentLabel:
+class ComponentLabel(NamedTuple):
     """Which component a Lagrangian lies in, relative to a reference."""
 
     reference: object
@@ -38,8 +36,7 @@ class ComponentLabel:
         return self.label == SAME
 
 
-@dataclass(frozen=True)
-class LiftPair:
+class LiftPair(NamedTuple):
     """The two Lagrangian lifts into a rank-one extension; flip swaps them."""
 
     plus_lift: object
@@ -88,32 +85,33 @@ def _isotropic_reduction(space, s):
     return quotient, lift
 
 
-def _cells(field, gram, start):
-    """Rows spanning each Lagrangian of Witt coordinates start.., once.
+def _cells(gram, start, p):
+    """Raw rows spanning each Lagrangian of Witt coordinates start.., once.
 
-    With (e, f) the hyperbolic pair at start and M a Lagrangian of the later
-    coordinates U, the Lagrangians are e + M and, for each w in U vanishing
-    on the RREF pivots of M, the span of m - B(w,m) e (m in M) and
-    f + w - Q(w)/2 e.
+    gram is the raw block Gram matrix over F_p.  With (e, f) the hyperbolic
+    pair at start and M a Lagrangian of the later coordinates U, the
+    Lagrangians are e + M and, for each w in U vanishing on the RREF pivots
+    of M, the span of m - B(w,m) e (m in M) and f + w - Q(w)/2 e.
     """
-    d = gram.nrows
+    d = len(gram)
     if d - start < 2:
         yield []
         return
-    zero, one, two = field.zero, field.one, field.scalar(2)
-    e = tuple(one if j == start else zero for j in range(d))
-    for m_rows in _cells(field, gram, start + 2):
+    half = pow(2, -1, p)
+    e = [1 if j == start else 0 for j in range(d)]
+    for m_rows in _cells(gram, start + 2, p):
         yield [e] + m_rows
-        pivots = Matrix(field, m_rows).rref()[1]
+        pivots = _rref(m_rows, p)[1]
         free = [j for j in range(start + 2, d) if j not in pivots]
-        for vals in itertools.product(field.elements(), repeat=len(free)):
-            w = [zero] * d
+        for vals in itertools.product(range(p), repeat=len(free)):
+            w = [0] * d
             for j, x in zip(free, vals):
                 w[j] = x
-            wg = vec_mat(tuple(w), gram)
-            rows = [m[:start] + (-dot(wg, m),) + m[start + 1:] for m in m_rows]
-            w[start], w[start + 1] = -dot(wg, w) / two, one
-            yield rows + [tuple(w)]
+            wg = _vec_mat(w, gram, p)
+            rows = [m[:start] + [-_dot(wg, m, p) % p] + m[start + 1:]
+                    for m in m_rows]
+            w[start], w[start + 1] = -_dot(wg, w, p) * half % p, 1
+            yield rows + [w]
 
 
 def enumerate_lagrangians(space, cap=DEFAULT_ENUM_CAP):
@@ -136,10 +134,10 @@ def enumerate_lagrangians(space, cap=DEFAULT_ENUM_CAP):
     if wd.witt_index != space.dim // 2:
         raise NotSplit("the form is not split, so it has no Lagrangians "
                        "of half dimension")
-    field, to_ambient = space.field, wd.change_of_basis.T
-    lagrangians = (Subspace.span(field, space.dim,
-                                 [vec_mat(r, to_ambient) for r in rows])
-                   for rows in _cells(field, wd.block_gram, 0))
+    field, p = space.field, space.field.p
+    to_ambient = _raw(wd.change_of_basis.T)
+    lagrangians = (Subspace.span(field, space.dim, _matmul(rows, to_ambient, p))
+                   for rows in _cells(_raw(wd.block_gram), 0, p))
     return sorted(lagrangians, key=lambda s: s.key)
 
 

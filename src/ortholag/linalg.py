@@ -4,9 +4,112 @@ Matrices store Scalar entries as nested tuples, so they are immutable and
 hashable.  A Subspace is the row space of a reduced row echelon basis with
 zero rows dropped; two subspaces are equal iff those bases are identical,
 which makes structural equality coincide with mathematical equality.
+
+Elimination, kernels and the products inside them run in a private kernel
+(_rref, _kernel, _dot, _vec_mat, _matmul) on lists of raw values: ints in
+[0, p) over F_p, Fractions over Q, where p = field.p is 0.  The public
+methods unbox x.value on entry and make Scalars only for the Matrix or
+Subspace they return.  The Matrix operators and the public dot and vec_mat
+still work on Scalars.
 """
 
+from fractions import Fraction
+from operator import mul
+
 from .errors import AmbientMismatch, DimMismatch, MixedContexts
+from .fields import Scalar
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def _units(p):
+    """The raw zero and one: ints over F_p, Fractions over Q."""
+    return (0, 1) if p else (_ZERO, _ONE)
+
+
+def _raw(m):
+    """The entries of a Matrix as lists of raw values."""
+    return [[x.value for x in r] for r in m.entries]
+
+
+def _identity(n, p):
+    zero, one = _units(p)
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def _inv(x, p):
+    return pow(x, -1, p) if p else 1 / x
+
+
+def _combine(u, c, v, p):
+    """The row u + c*v."""
+    if p:
+        return [(x + c * y) % p for x, y in zip(u, v)]
+    return [x + c * y for x, y in zip(u, v)]
+
+
+def _scale(c, v, p):
+    if p:
+        return [c * x % p for x in v]
+    return [c * x for x in v]
+
+
+def _dot(u, v, p):
+    if p:
+        return sum(map(mul, u, v)) % p
+    return sum(map(mul, u, v), _ZERO)
+
+
+def _vec_mat(v, rows, p):
+    """Row vector times the matrix with the given (nonempty) rows."""
+    return [_dot(v, col, p) for col in zip(*rows)]
+
+
+def _matmul(a, b, p):
+    cols = list(zip(*b))
+    return [[_dot(r, c, p) for c in cols] for r in a]
+
+
+def _rref(rows, p):
+    """Reduced row echelon form of raw rows: (rows, pivot column tuple).
+
+    Zero rows end up last and are kept; the input is left unchanged.
+    """
+    rows = [list(r) for r in rows]
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        lead = rows[r] = _scale(_inv(rows[r][c], p), rows[r], p)
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                rows[i] = _combine(row, -row[c], lead, p)
+        pivots.append(c)
+        r += 1
+    return rows, tuple(pivots)
+
+
+def _kernel(rows, ncols, p):
+    """Canonical basis rows of the right null space of raw rows."""
+    red, pivots = _rref(rows, p)
+    zero, one = _units(p)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [zero] * ncols
+        v[f] = one
+        for i, c in enumerate(pivots):
+            v[c] = -red[i][f] % p if p else -red[i][f]
+        basis.append(v)
+    return _rref(basis, p)[0]
 
 
 class Matrix:
@@ -24,6 +127,15 @@ class Matrix:
 
     def __setattr__(self, *a):
         raise AttributeError("Matrix is immutable")
+
+    @classmethod
+    def _from_raw(cls, field, rows):
+        """Matrix of raw rows, boxed directly without coercion."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "field", field)
+        object.__setattr__(m, "entries", tuple(tuple(Scalar(field, v) for v in r)
+                                               for r in rows))
+        return m
 
     @classmethod
     def identity(cls, field, n):
@@ -103,57 +215,26 @@ class Matrix:
 
     def rref(self):
         """Reduced row echelon form.  Returns (Matrix, pivot column tuple)."""
-        rows = [list(r) for r in self.entries]
-        nrows, ncols = len(rows), self.ncols
-        pivots = []
-        r = 0
-        for c in range(ncols):
-            pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
-            if pivot_row is None:
-                continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            inv = rows[r][c]
-            rows[r] = [x / inv for x in rows[r]]
-            for i in range(nrows):
-                if i != r and rows[i][c]:
-                    f = rows[i][c]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
-        return Matrix(self.field, rows), tuple(pivots)
+        rows, pivots = _rref(_raw(self), self.field.p)
+        return Matrix._from_raw(self.field, rows), pivots
 
     def rank(self):
-        return len(self.rref()[1])
+        return len(_rref(_raw(self), self.field.p)[1])
 
     def kernel(self):
         """Canonical basis matrix of the right null space (rows are the basis)."""
-        R, pivots = self.rref()
-        ncols = self.ncols
-        free = [c for c in range(ncols) if c not in pivots]
-        zero, one = self.field.zero, self.field.one
-        rows = []
-        for f in free:
-            v = [zero] * ncols
-            v[f] = one
-            for i, p in enumerate(pivots):
-                v[p] = -R[i, f]
-            rows.append(v)
-        if not rows:
-            return Matrix(self.field, [])
-        return Matrix(self.field, rows).rref()[0]
+        return Matrix._from_raw(self.field,
+                                _kernel(_raw(self), self.ncols, self.field.p))
 
     def inverse(self):
-        n = self.nrows
+        n, p = self.nrows, self.field.p
         if n != self.ncols:
             raise DimMismatch("inverse of a non-square matrix")
-        aug = Matrix(self.field, [list(r) + list(i)
-                                  for r, i in zip(self.entries, Matrix.identity(self.field, n).entries)])
-        R, pivots = aug.rref()
+        aug = [r + i for r, i in zip(_raw(self), _identity(n, p))]
+        rows, pivots = _rref(aug, p)
         if pivots[:n] != tuple(range(n)):
             raise DimMismatch("matrix is singular")
-        return Matrix(self.field, [r[n:] for r in R.entries])
+        return Matrix._from_raw(self.field, [r[n:] for r in rows])
 
     def is_invertible(self):
         return self.nrows == self.ncols and self.rank() == self.nrows
@@ -191,16 +272,19 @@ class Subspace:
     @classmethod
     def span(cls, field, ambient_dim, rows):
         """Subspace spanned by the given rows, reduced to its canonical basis."""
-        rows = [tuple(field.scalar(x) for x in row) for row in rows]
+        raw = field.raw
+        rows = [[raw(x) for x in row] for row in rows]
         for r in rows:
             if len(r) != ambient_dim:
                 raise AmbientMismatch("row length differs from ambient dimension")
-        if not rows:
-            return cls(field, ambient_dim, Matrix.zero(field, 0, ambient_dim))
-        R, pivots = Matrix(field, rows).rref()
-        kept = R.entries[: len(pivots)]
-        return cls(field, ambient_dim, Matrix(field, kept) if kept
-                   else Matrix.zero(field, 0, ambient_dim))
+        return cls._from_raw(field, ambient_dim, rows)
+
+    @classmethod
+    def _from_raw(cls, field, ambient_dim, rows):
+        """Subspace spanned by raw rows of length ambient_dim."""
+        rows, pivots = _rref(rows, field.p)
+        return cls(field, ambient_dim,
+                   Matrix._from_raw(field, rows[: len(pivots)]))
 
     @classmethod
     def full(cls, field, ambient_dim):
@@ -217,7 +301,7 @@ class Subspace:
     @property
     def pivots(self):
         """Pivot columns, read off the canonical basis without reducing it."""
-        return tuple(next(j for j, x in enumerate(row) if x)
+        return tuple(next(j for j, x in enumerate(row) if x.value)
                      for row in self.basis.entries)
 
     def _check_ambient(self, other):
@@ -240,15 +324,14 @@ class Subspace:
         self._check_ambient(other)
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero_subspace(self.field, self.ambient_dim)
-        # solve u*A = w*B: kernel of [A; -B]^T gives coefficient pairs (u, w)
-        a, b = self.basis, other.basis
-        rows = []
-        for i in range(self.ambient_dim):
-            rows.append([a[j, i] for j in range(a.nrows)]
-                        + [-b[j, i] for j in range(b.nrows)])
-        coeffs = Matrix(self.field, rows).kernel()
-        vecs = [vec_mat(c[: a.nrows], a) for c in coeffs.entries]
-        return Subspace.span(self.field, self.ambient_dim, vecs)
+        # the kernel of [A; B]^T holds the pairs (u, w) with u*A = -w*B,
+        # so the vectors u*A span the intersection
+        p = self.field.p
+        a, b = _raw(self.basis), _raw(other.basis)
+        rows = [ca + cb for ca, cb in zip(zip(*a), zip(*b))]
+        coeffs = _kernel(rows, len(a) + len(b), p)
+        vecs = [_vec_mat(c[: len(a)], a, p) for c in coeffs]
+        return Subspace._from_raw(self.field, self.ambient_dim, vecs)
 
     __and__ = intersection
 
@@ -266,17 +349,18 @@ class Subspace:
 
     def coordinates(self, v):
         """Coefficients of v in the canonical basis (v must lie in the subspace)."""
-        v = tuple(self.field.scalar(x) for x in v)
+        field = self.field
+        v = [field.raw(x) for x in v]
         if len(v) != self.ambient_dim:
             raise AmbientMismatch("vector length differs from ambient dimension")
         if self.dim == 0:
             if any(v):
                 raise AmbientMismatch("vector is not in the subspace")
             return ()
-        coords = tuple(v[p] for p in self.pivots)
-        if vec_mat(coords, self.basis) != v:
+        coords = [v[j] for j in self.pivots]
+        if _vec_mat(coords, _raw(self.basis), field.p) != v:
             raise AmbientMismatch("vector is not in the subspace")
-        return coords
+        return tuple(Scalar(field, c) for c in coords)
 
     def apply(self, m):
         """Image under the linear map sending row vector v to v*m."""
@@ -288,7 +372,7 @@ class Subspace:
     @property
     def key(self):
         """Deterministic sort key: dimension, then basis entries."""
-        return (self.dim, tuple(tuple(x.key for x in r) for r in self.basis.entries))
+        return (self.dim, tuple(tuple(x.value for x in r) for r in self.basis.entries))
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):

@@ -12,10 +12,12 @@ so dividing bilinear values by 2 is always legal.
 import itertools
 
 from .errors import (AmbientMismatch, DegenerateForm, DimMismatch,
-                     IsotropicSearchExhausted, MixedContexts, OutOfRange,
-                     UnsupportedContext, ZeroScalar)
-from .fields import PrimeField, is_square
-from .linalg import Matrix, Subspace, dot, vec_mat
+                     IsotropicSearchExhausted, MixedContexts, NotSymmetric,
+                     OutOfRange, UnsupportedContext, ZeroScalar)
+from .fields import PrimeField, Scalar, is_square
+from .linalg import (Matrix, Subspace, _combine, _dot, _identity, _inv,
+                     _kernel, _matmul, _raw, _rref, _scale, _units, _vec_mat,
+                     dot, vec_mat)
 
 # safety valves for the rational isotropic vector search
 DEFAULT_HEIGHT_BOUND = 50
@@ -39,7 +41,7 @@ class GramSpace:
         if gram.nrows != gram.ncols:
             raise DimMismatch("gram matrix must be square")
         if gram != gram.T:
-            raise ValueError("gram matrix must be symmetric")
+            raise NotSymmetric("gram matrix must be symmetric")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "dim", gram.nrows)
         object.__setattr__(self, "gram", gram)
@@ -88,8 +90,9 @@ def orthogonal_complement(space, s):
         raise AmbientMismatch("subspace ambient differs from space dimension")
     if s.dim == 0:
         return Subspace.full(space.field, space.dim)
-    ker = (s.basis * space.gram).kernel()
-    return Subspace.span(space.field, space.dim, ker.entries)
+    field, p = space.field, space.field.p
+    ker = _kernel(_matmul(_raw(s.basis), _raw(space.gram), p), space.dim, p)
+    return Subspace(field, space.dim, Matrix._from_raw(field, ker))
 
 
 def is_isotropic(space, s):
@@ -103,13 +106,18 @@ def is_isotropic(space, s):
     return all(x == zero for row in g.entries for x in row)
 
 
-def _diagonalize(field, gram):
-    """Rows p with p*gram*p.T diagonal.  Returns (p, diagonal entries)."""
-    k = gram.nrows
-    rows = [list(r) for r in Matrix.identity(field, k).entries]
+def _gram_on(rows, g, p):
+    """rows * g * rows.T on raw values."""
+    return [[_dot(r, s, p) for s in rows] for r in _matmul(rows, g, p)]
+
+
+def _diagonalize(gram, p):
+    """Raw rows P with P*gram*P.T diagonal.  Returns (P, diagonal entries)."""
+    k = len(gram)
+    rows = _identity(k, p)
 
     def bil(u, v):
-        return dot(vec_mat(tuple(u), gram), tuple(v))
+        return _dot(_vec_mat(u, gram, p), v, p)
 
     for i in range(k):
         j = next((j for j in range(i, k) if bil(rows[j], rows[j])), None)
@@ -120,56 +128,52 @@ def _diagonalize(field, gram):
             if pair is None:
                 break  # remaining block is the radical
             a, b = pair
-            rows[a] = [x + y for x, y in zip(rows[a], rows[b])]
+            rows[a] = _combine(rows[a], 1, rows[b], p)
             j = a
         rows[i], rows[j] = rows[j], rows[i]
-        qi = bil(rows[i], rows[i])
+        inv = _inv(bil(rows[i], rows[i]), p)
         for l in range(i + 1, k):
-            c = bil(rows[l], rows[i]) / qi
-            rows[l] = [x - c * y for x, y in zip(rows[l], rows[i])]
-    p = Matrix(field, rows)
-    diag = tuple(bil(r, r) for r in rows)
-    return p, diag
+            c = bil(rows[l], rows[i]) * inv
+            rows[l] = _combine(rows[l], -c, rows[i], p)
+    return rows, [bil(r, r) for r in rows]
 
 
 def _isotropic_in_diagonal(field, diag, height_bound):
-    """A nonzero isotropic coefficient tuple for diag(d_1..d_k), or None.
+    """A nonzero isotropic raw coefficient list for diag(d_1..d_k), or None.
 
     None is only returned when anisotropy is certain: dimension at most one,
     a nonsquare ratio in dimension two over F_p, or a definite form over Q.
     Over Q an indefinite form is searched by increasing coordinate height and
     IsotropicSearchExhausted is raised when the bound runs out.
     """
-    k = len(diag)
-    zero, one = field.zero, field.one
+    k, p = len(diag), field.p
+    zero, one = _units(p)
     for i, d in enumerate(diag):
-        if d == zero:  # radical vector, trivially isotropic
-            return tuple(one if j == i else zero for j in range(k))
+        if not d:  # radical vector, trivially isotropic
+            return [one if j == i else zero for j in range(k)]
     if k <= 1:
         return None
 
-    if isinstance(field, PrimeField):
+    if p:
         if k == 2:
             # d1 + d2 y^2 = 0 has a solution iff -d1/d2 is a square
-            ok, root = is_square(-diag[0] / diag[1])
-            return (one, root) if ok else None
+            ok, root = is_square(Scalar(field, -diag[0] * _inv(diag[1], p) % p))
+            return [1, root.value] if ok else None
         # dimension >= 3: a diagonal form in three variables always has a zero
-        d1, d2, d3 = diag[0], diag[1], diag[2]
-        for xv in range(field.p):
-            x = field.scalar(xv)
-            val = (-d3 - d1 * x * x) / d2
-            if val == zero:
-                y = zero
-            else:
-                ok, root = is_square(val)
+        d1, d2, d3 = diag[:3]
+        inv2 = _inv(d2, p)
+        for x in range(p):
+            val = (-d3 - d1 * x * x) * inv2 % p
+            if val:
+                ok, root = is_square(Scalar(field, val))
                 if not ok:
                     continue
-                y = root
-            return (x, y, one) + (zero,) * (k - 3)
+                val = root.value
+            return [x, val, 1] + [0] * (k - 3)
         raise AssertionError("three variable form over F_p with no zero")
 
     # rationals: definite forms are anisotropic, otherwise bounded search
-    signs = {d.value > 0 for d in diag}
+    signs = {d > 0 for d in diag}
     if len(signs) == 1:
         return None
     budget = SEARCH_BUDGET
@@ -182,8 +186,8 @@ def _isotropic_in_diagonal(field, diag, height_bound):
                 raise IsotropicSearchExhausted(
                     f"no isotropic vector within the candidate budget "
                     f"({SEARCH_BUDGET} candidates)")
-            if sum(d.value * c * c for d, c in zip(diag, cand)) == 0:
-                return tuple(field.scalar(c) for c in cand)
+            if sum(d * c * c for d, c in zip(diag, cand)) == 0:
+                return [field.raw(c) for c in cand]
     raise IsotropicSearchExhausted(
         f"no isotropic vector up to coordinate height {height_bound}; "
         "anisotropy over Q is not certified")
@@ -232,55 +236,52 @@ def witt_decompose(space, height_bound=DEFAULT_HEIGHT_BOUND):
     """
     if not space.nondegenerate:
         raise DegenerateForm("witt decomposition needs a nondegenerate form")
-    field, g, d = space.field, space.gram, space.dim
-    two = field.scalar(2)
+    field, d = space.field, space.dim
+    p, g = field.p, _raw(space.gram)
+    half = _inv(field.raw(2), p)
     pair_rows = []
-    comp = Matrix.identity(field, d)
-    while comp.nrows:
-        restricted = comp * g * comp.T
-        p, diag = _diagonalize(field, restricted)
+    comp = _identity(d, p)
+    while comp:
+        prows, diag = _diagonalize(_gram_on(comp, g, p), p)
         y = _isotropic_in_diagonal(field, diag, height_bound)
         if y is None:
             break
-        e = vec_mat(vec_mat(y, p), comp)
-        alphas = [dot(vec_mat(row, g), e) for row in comp.entries]
+        e = _vec_mat(_vec_mat(y, prows, p), comp, p)
+        eg = _vec_mat(e, g, p)
+        alphas = [_dot(eg, row, p) for row in comp]
         j = next(i for i, a in enumerate(alphas) if a)
-        f1 = tuple(x / alphas[j] for x in comp.row(j))
-        corr = space.qvalue(f1) / two
-        f = tuple(x - corr * ev for x, ev in zip(f1, e))
+        f1 = _scale(_inv(alphas[j], p), comp[j], p)
+        f = _combine(f1, -_dot(_vec_mat(f1, g, p), f1, p) * half, e, p)
         pair_rows += [e, f]
-        ge = [dot(vec_mat(row, g), e) for row in comp.entries]
-        gf = [dot(vec_mat(row, g), f) for row in comp.entries]
+        fg = _vec_mat(f, g, p)
         # coefficient rows orthogonal to both e and f within the complement
-        coeffs = Matrix(field, [ge, gf]).kernel()
-        comp_rows = [vec_mat(c, comp) for c in coeffs.entries]
-        comp = (Matrix(field, comp_rows).rref()[0] if comp_rows
-                else Matrix.zero(field, 0, d))
+        coeffs = _kernel([alphas, [_dot(fg, row, p) for row in comp]],
+                         len(comp), p)
+        comp = _rref([_vec_mat(c, comp, p) for c in coeffs], p)[0]
 
     witt_index = len(pair_rows) // 2
-    aniso_gram = comp * g * comp.T if comp.nrows else Matrix(field, [])
-    aniso = GramSpace(field, aniso_gram)
-    new_rows = pair_rows + [tuple(r) for r in comp.entries]
-    cob = Matrix(field, new_rows).T
-    zero, one = field.zero, field.one
-    n = len(new_rows)
+    aniso_gram = _gram_on(comp, g, p)
+    new_rows = pair_rows + comp
+    n, (zero, one) = len(new_rows), _units(p)
     block = [[zero] * n for _ in range(n)]
     for i in range(witt_index):
         block[2 * i][2 * i + 1] = one
         block[2 * i + 1][2 * i] = one
-    for i in range(comp.nrows):
-        for j in range(comp.nrows):
-            block[2 * witt_index + i][2 * witt_index + j] = aniso_gram[i, j]
-    block = Matrix(field, block)
-    if cob.T * g * cob != block:
+    for i, row in enumerate(aniso_gram):
+        block[2 * witt_index + i][2 * witt_index:] = row
+    if _gram_on(new_rows, g, p) != block:
         raise AssertionError("internal error: change of basis fails to block")
-    if isinstance(field, PrimeField) and comp.nrows > 1:
+    if p and len(comp) > 1:
         # over F_p the remainder is at most a plane, and a plane is
         # anisotropic iff -det is a nonsquare
         a = aniso_gram
-        if comp.nrows > 2 or is_square(a[0, 1] * a[1, 0] - a[0, 0] * a[1, 1])[0]:
+        if len(comp) > 2 or is_square(Scalar(
+                field, (a[0][1] * a[1][0] - a[0][0] * a[1][1]) % p))[0]:
             raise AssertionError("internal error: anisotropic part has a zero")
-    return WittDecomposition(space, cob, witt_index, aniso, block)
+    return WittDecomposition(
+        space, Matrix._from_raw(field, list(zip(*new_rows))), witt_index,
+        GramSpace(field, Matrix._from_raw(field, aniso_gram)),
+        Matrix._from_raw(field, block))
 
 
 def witt_index(space, height_bound=DEFAULT_HEIGHT_BOUND):

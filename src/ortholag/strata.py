@@ -8,7 +8,6 @@ always even and the values taken by a general bundle depend on
 N = (n+1)(g-1) modulo 4.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -18,18 +17,22 @@ PLUS = "+"
 MINUS = "-"
 
 
-@dataclass(frozen=True)
-class CurveParams:
-    """Genus and subbundle rank; validates the documented domain."""
-
+class _GenusRank(NamedTuple):
     g: int
     n: int
 
-    def __post_init__(self):
-        if not isinstance(self.g, int) or self.g < 2:
-            raise OutOfRange(f"genus must be an integer >= 2, got {self.g}")
-        if not isinstance(self.n, int) or self.n < 1:
-            raise OutOfRange(f"rank parameter must be an integer >= 1, got {self.n}")
+
+class CurveParams(_GenusRank):
+    """Genus and subbundle rank; validates the documented domain."""
+
+    __slots__ = ()
+
+    def __new__(cls, g, n):
+        if not isinstance(g, int) or g < 2:
+            raise OutOfRange(f"genus must be an integer >= 2, got {g}")
+        if not isinstance(n, int) or n < 1:
+            raise OutOfRange(f"rank parameter must be an integer >= 1, got {n}")
+        return super().__new__(cls, g, n)
 
     @property
     def N(self):
@@ -126,8 +129,7 @@ def max_lagrangian_count_class(p: CurveParams, t: int) -> str:
     return "infinite"
 
 
-@dataclass(frozen=True)
-class StratumRow:
+class StratumRow(NamedTuple):
     """One row of the general-bundle table for fixed (g, n)."""
 
     g: int

@@ -1,10 +1,15 @@
 """End-to-end CLI behaviour, run in process through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from ortholag.cli import main
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run(capsys, *argv):
@@ -196,3 +201,45 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
+
+
+class TestErrorTyping:
+    @pytest.mark.parametrize("argv", [
+        ("og", "enumerate", "--q", "3", "--gram", "[[1,2],[0,1]]"),
+        ("og", "enumerate", "--q", "3", "--gram", '{"gram": [[0,1],[1,0]]}'),
+        ("og", "enumerate", "--q", "3", "--gram", '[["a"]]'),
+        ("og", "lift", "--q", "5", "--n", "1", "--c", "abc", "--e", "[[1,0,0]]"),
+        ("og", "lift", "--q", "5", "--n", "1", "--c", "-1",
+         "--e", '{"basis": [[0,1,0]]}'),
+        ("verify", "bijection", "--c", "1/0"),
+        ("og", "enumerate", "--q", "3", "--gram", "7"),
+        ("og", "enumerate", "--q", "3", "--gram", '{"field": 5, "gram": [[1]]}'),
+        ("og", "lift", "--q", "5", "--n", "1", "--c", "-1",
+         "--e", '{"ambient": 3, "basis": 5}'),
+        ("og", "lift", "--q", "5", "--n", "1", "--c", "-1",
+         "--e-file", os.path.join(ROOT, "no-such-file.json")),
+    ])
+    def test_malformed_arguments_are_domain_errors(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
+
+    def test_internal_errors_propagate(self, monkeypatch):
+        import ortholag.cli as cli
+
+        def broken(*args, **kwargs):
+            raise ValueError("base is not invertible for the given modulus")
+
+        monkeypatch.setattr(cli, "enumerate_lagrangians", broken)
+        with pytest.raises(ValueError, match="not invertible"):
+            main(["og", "enumerate", "--q", "3", "--n", "1"])
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    code = ("import sys, ortholag.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

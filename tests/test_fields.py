@@ -1,12 +1,14 @@
 """Exact scalar arithmetic: canonical forms, context rules, squareness."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from ortholag import (GF, QQ, DivisionByZero, MixedContexts, Scalar,
                       UnsupportedContext, ZeroScalar, is_square)
+from ortholag.fields import _is_prime
 
 F3 = GF(3)
 F5 = GF(5)
@@ -173,3 +175,38 @@ class TestIsSquare:
         assert repr(F5.scalar(7)) == "2"
         assert F5.scalar(2).key == 2
         assert Scalar(QQ, Fraction(1, 2)).key == Fraction(1, 2)
+
+
+class TestPrimality:
+    """Deterministic Miller-Rabin against sympy, which is used only here."""
+
+    def test_matches_sympy_below_1e5(self):
+        from sympy import isprime
+        assert ([n for n in range(10 ** 5) if _is_prime(n)]
+                == [n for n in range(10 ** 5) if isprime(n)])
+
+    @pytest.mark.parametrize("n", [
+        2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 3825123056546413051,
+        318665857834031151167461,  # strong pseudoprime to all bases up to 37
+    ])
+    def test_strong_pseudoprimes_are_composite(self, n):
+        from sympy import isprime
+        assert not isprime(n)
+        assert not _is_prime(n)
+
+    @pytest.mark.parametrize("n", [2 ** 31 - 1, 10 ** 17 + 3, 2 ** 61 - 1,
+                                   10 ** 24 + 7])
+    def test_large_primes_are_fast(self, n):
+        start = time.perf_counter()
+        assert GF(n).p == n
+        assert time.perf_counter() - start < 0.1
+
+    def test_refuses_above_the_certified_bound(self):
+        from ortholag.fields import _MR_BOUND
+        n = 3317044064679887385961981  # strong pseudoprime to the 13 bases
+        assert n == _MR_BOUND
+        with pytest.raises(UnsupportedContext, match=str(_MR_BOUND)):
+            GF(n)
+        # a small factor still decides compositeness above the bound
+        assert not _is_prime(3 * _MR_BOUND)

@@ -158,6 +158,8 @@ class TestComponents:
                 int_rows(f), int_rows(ref), 3) - 2) % 2 == 0
             assert lab.same == same
             assert lab.reference == ref
+            with pytest.raises(AttributeError):
+                lab.label = "other"
 
     def test_two_classes_of_equal_size(self):
         space = standard_form(F3, 2, "even")

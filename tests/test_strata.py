@@ -35,6 +35,17 @@ class TestParams:
         with pytest.raises(OutOfRange):
             cp(2, "3")
 
+    def test_value_type_behaviour(self):
+        p = cp(3, 2)
+        assert repr(p) == "CurveParams(g=3, n=2)"
+        assert p == CurveParams(3, 2) and hash(p) == hash(CurveParams(3, 2))
+        with pytest.raises(AttributeError):
+            p.g = 4
+        row = stratum_row(p, 8)
+        assert repr(row).startswith("StratumRow(g=3, n=2, t=8, e=4, ")
+        with pytest.raises(AttributeError):
+            row.t = 6
+
 
 class TestGlobalDimensions:
     def test_moduli_dim(self):
