@@ -4,24 +4,21 @@ Three command groups: `strata` for the closed-form dimension calculators,
 `og` for finite orthogonal Grassmannian computations, and `verify` for the
 built-in verification sweeps (also reachable as `og verify`).  Exit codes:
 0 on success, 1 on domain errors or failed verification, 2 on usage errors.
+
+Importing this module loads no layer but `errors`, and building the parser
+loads none.  Each command imports what it runs when it runs: `strata` the
+closed-form layer (and `jsonio` for `--json`), `og` the numeric layers, and
+`verify` the suites, whose `tables` and `exceptions` need only `strata`.
+`og enumerate --count-only` prints the closed-form count after the same
+refusals as the enumeration, without enumerating.
 """
 
 import argparse
-import json
 import sys
 
 from .errors import MalformedInput, OrtholagError
-from .fields import GF
-from .jsonio import stratum_row_to_json, subspace_from_json, subspace_to_json, \
-    gramspace_from_json, liftpair_to_json, _fraction
-from .lagrange import (DEFAULT_ENUM_CAP, component_of, enumerate_lagrangians,
-                       lift_odd_to_even)
-from .orthospace import standard_form
-from .strata import (CurveParams, hirschowitz_bound, hirschowitz_exceptions,
-                     hn_bound, moduli_dim, mod4_table, sharp_bound,
-                     stratum_row)
-from .verify import SUITES
 
+# the options each verify suite takes; its keys are the names in verify.SUITES
 SUITE_OPTS = {
     "parity": ("n", "q", "cap"),
     "bijection": ("n", "q", "c", "cap"),
@@ -75,7 +72,7 @@ def _build_parser():
     p.add_argument("--gram", help="inline JSON Gram matrix overriding --shape/--n")
     p.add_argument("--gram-file", help="file with the JSON Gram matrix")
     p.add_argument("--count-only", action="store_true")
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP)
+    p.add_argument("--cap", type=int)
     p.add_argument("--json", action="store_true")
 
     p = og_cmds.add_parser("lift",
@@ -98,7 +95,7 @@ def _build_parser():
 
     for parent in (og_cmds, groups):
         p = parent.add_parser("verify", help="run a verification sweep")
-        p.add_argument("suite", choices=sorted(SUITES))
+        p.add_argument("suite", choices=sorted(SUITE_OPTS))
         p.add_argument("--n", type=int)
         p.add_argument("--q", type=int)
         p.add_argument("--c")
@@ -125,13 +122,20 @@ def _payload(inline, path, what):
 
 
 def _json_arg(text):
+    import json
     try:
         return json.loads(text)
     except ValueError as exc:
         raise MalformedInput(str(exc)) from exc
 
 
+def _print_json(obj):
+    import json
+    print(json.dumps(obj))
+
+
 def _subspace_arg(field, text, ambient):
+    from .jsonio import subspace_from_json
     obj = _json_arg(text)
     if isinstance(obj, dict):
         return subspace_from_json(field, obj)
@@ -139,6 +143,7 @@ def _subspace_arg(field, text, ambient):
 
 
 def _scalar_arg(field, text):
+    from .jsonio import _fraction
     return field.scalar(_fraction(text))
 
 
@@ -147,18 +152,23 @@ def _fraction_json(f):
 
 
 def _cmd_strata(args):
+    from .strata import (CurveParams, hirschowitz_bound, hirschowitz_exceptions,
+                         hn_bound, moduli_dim, mod4_table, sharp_bound,
+                         stratum_row)
     p = CurveParams(args.g, args.n) if args.cmd != "exceptions" else None
     if args.cmd == "table":
         rows = mod4_table(p)
         if args.json:
-            print(json.dumps([stratum_row_to_json(r) for r in rows]))
+            from .jsonio import stratum_row_to_json
+            _print_json([stratum_row_to_json(r) for r in rows])
         else:
             for r in rows:
                 print(f"({r.t}, {r.component}, {r.dim_max_lagrangians})")
     elif args.cmd == "stratum":
         row = stratum_row(p, args.t)
         if args.json:
-            print(json.dumps(stratum_row_to_json(row)))
+            from .jsonio import stratum_row_to_json
+            _print_json(stratum_row_to_json(row))
         else:
             print(f"t={row.t} e={row.e} component={row.component} "
                   f"stratum_dim={row.stratum_dim} "
@@ -167,11 +177,11 @@ def _cmd_strata(args):
     elif args.cmd == "bounds":
         hn = hn_bound(p) if p.n >= 2 else None
         if args.json:
-            print(json.dumps({
+            _print_json({
                 "N": p.N, "moduli_dim": moduli_dim(p),
                 "sharp_bound": sharp_bound(p),
                 "hn_bound": _fraction_json(hn) if hn is not None else None,
-                "hirschowitz_bound": hirschowitz_bound(p)}))
+                "hirschowitz_bound": hirschowitz_bound(p)})
         else:
             print(f"N={p.N}")
             print(f"moduli_dim={moduli_dim(p)}")
@@ -181,7 +191,7 @@ def _cmd_strata(args):
     else:
         found = hirschowitz_exceptions(args.gmax, args.nmax)
         if args.json:
-            print(json.dumps([list(x) for x in found]))
+            _print_json([list(x) for x in found])
         else:
             for g, n, t in found:
                 print(f"({g}, {n}, {t})")
@@ -189,6 +199,12 @@ def _cmd_strata(args):
 
 
 def _cmd_og(args):
+    from .fields import GF
+    from .jsonio import gramspace_from_json, liftpair_to_json, subspace_to_json
+    from .lagrange import (DEFAULT_ENUM_CAP, _split_witt, component_of,
+                           enumerate_lagrangians, lagrangian_count,
+                           lift_odd_to_even)
+    from .orthospace import standard_form
     field = GF(args.q)
     if args.cmd == "enumerate":
         if args.gram is not None or args.gram_file is not None:
@@ -203,19 +219,23 @@ def _cmd_og(args):
             if args.n is None:
                 raise OrtholagError("enumerate needs --n or --gram")
             space = standard_form(field, args.n, args.shape)
-        lag = enumerate_lagrangians(space, cap=args.cap)
+        cap = DEFAULT_ENUM_CAP if args.cap is None else args.cap
         if args.count_only:
-            print(len(lag))
-        elif args.json:
-            print(json.dumps([subspace_to_json(s) for s in lag]))
+            _split_witt(space, cap)
+            print(lagrangian_count(space.field.p, space.dim // 2,
+                                   "odd" if space.dim % 2 else "even"))
+            return 0
+        lag = enumerate_lagrangians(space, cap=cap)
+        if args.json:
+            _print_json([subspace_to_json(s) for s in lag])
         else:
             for s in lag:
-                print(json.dumps(subspace_to_json(s)))
+                _print_json(subspace_to_json(s))
     elif args.cmd == "lift":
         space = standard_form(field, args.n, "odd")
         e = _subspace_arg(field, _payload(args.e, args.e_file, "--e"), space.dim)
         pair = lift_odd_to_even(space, e, _scalar_arg(field, args.c))
-        print(json.dumps(liftpair_to_json(pair)))
+        _print_json(liftpair_to_json(pair))
     else:
         space = standard_form(field, args.n, "even")
         f = _subspace_arg(field, _payload(args.e, args.e_file, "--e"), space.dim)
@@ -223,18 +243,21 @@ def _cmd_og(args):
                             space.dim)
         label = component_of(space, f, ref)
         if args.json:
-            print(json.dumps({"label": label.label}))
+            _print_json({"label": label.label})
         else:
             print(label.label)
     return 0
 
 
 def _cmd_verify(args):
+    from .verify import SUITES
     kwargs = {}
     values = {"n": args.n, "q": args.q, "cap": args.cap,
               "samples": args.samples, "seed": args.seed,
-              "g_max": args.gmax, "n_max": args.nmax,
-              "c": _fraction(args.c) if args.c is not None else None}
+              "g_max": args.gmax, "n_max": args.nmax, "c": args.c}
+    if args.c is not None:
+        from .jsonio import _fraction
+        values["c"] = _fraction(args.c)
     for key in SUITE_OPTS[args.suite]:
         if values.get(key) is not None:
             kwargs[key] = values[key]

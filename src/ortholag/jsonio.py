@@ -4,15 +4,14 @@ Wire conventions: a field context is {"type": "Q"} or {"type": "Fp", "p": 5};
 scalars are JSON numbers or decimal strings for integers and "a/b" strings
 for non-integral rationals; a subspace is {"ambient": d, "basis": [[...]]};
 a Gram space is {"field": {...}, "gram": [[...]]}.
+
+Each function imports the layers it needs when it runs, so
+stratum_row_to_json and _fraction load no numeric layer.
 """
 
 from fractions import Fraction
 
 from .errors import MalformedInput, UnsupportedContext
-from .fields import GF, QQ, PrimeField, Rationals
-from .lagrange import LiftPair
-from .linalg import Subspace
-from .orthospace import GramSpace
 
 
 def _fraction(text):
@@ -42,6 +41,7 @@ def _rows(obj, key):
 
 
 def field_to_json(field):
+    from .fields import PrimeField, Rationals
     if isinstance(field, Rationals):
         return {"type": "Q"}
     if isinstance(field, PrimeField):
@@ -50,6 +50,7 @@ def field_to_json(field):
 
 
 def field_from_json(obj):
+    from .fields import GF, QQ
     kind = obj.get("type") if isinstance(obj, dict) else None
     if kind == "Q":
         return QQ
@@ -82,6 +83,7 @@ def subspace_to_json(s):
 
 
 def subspace_from_json(field, obj):
+    from .linalg import Subspace
     ambient = _get(obj, "ambient")
     rows = [[scalar_from_json(field, x) for x in row] for row in _rows(obj, "basis")]
     return Subspace.span(field, ambient, rows)
@@ -94,6 +96,7 @@ def gramspace_to_json(space):
 
 
 def gramspace_from_json(obj):
+    from .orthospace import GramSpace
     field = field_from_json(_get(obj, "field"))
     rows = [[scalar_from_json(field, x) for x in row] for row in _rows(obj, "gram")]
     return GramSpace(field, rows)
@@ -105,6 +108,7 @@ def liftpair_to_json(pair):
 
 
 def liftpair_from_json(field, obj):
+    from .lagrange import LiftPair
     return LiftPair(plus_lift=subspace_from_json(field, _get(obj, "plus")),
                     minus_lift=subspace_from_json(field, _get(obj, "minus")))
 

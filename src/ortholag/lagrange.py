@@ -16,7 +16,7 @@ from .errors import (AmbientMismatch, CapExceeded, DegenerateForm,
                      UnsupportedContext)
 from .fields import PrimeField
 from .linalg import Matrix, Subspace, _dot, _matmul, _raw, _rref, _vec_mat, vec_mat
-from .orthospace import (GramSpace, extend_by_scalar, is_isotropic,
+from .orthospace import (GramSpace, _split_dim, extend_by_scalar, is_isotropic,
                          orthogonal_complement, witt_decompose)
 
 DEFAULT_ENUM_CAP = 8
@@ -114,14 +114,25 @@ def _cells(gram, start, p):
             yield rows + [w]
 
 
-def enumerate_lagrangians(space, cap=DEFAULT_ENUM_CAP):
-    """All Lagrangians of a split space over F_p, in canonical order.
+def lagrangian_count(q, n, shape):
+    """Number of Lagrangians of the split form of dimension 2n or 2n+1 over F_q.
 
-    In the Witt basis of witt_decompose the Lagrangians fall into the cells
-    of the recursion in _cells, so each is produced exactly once and none is
-    deduplicated; there are prod(p^i + 1), i = 0..n-1 in dimension 2n and
-    i = 1..n in dimension 2n+1.  Refuses dimensions above the cap because
-    that count grows roughly like p^(dim^2/4).
+    prod(q^i + 1) over i = 0..n-1 ("even") or i = 1..n ("odd"), which by
+    the q-binomial theorem is the sum over k of [n, k]_q q^((n-k)(n-k-1)/2),
+    respectively q^((n-k)(n-k+1)/2): one term per dimension k of L meet L0.
+    """
+    first = _split_dim(n, shape) % 2
+    count = 1
+    for i in range(first, first + n):
+        count *= q ** i + 1
+    return count
+
+
+def _split_witt(space, cap):
+    """The Witt decomposition of a space whose Lagrangians may be enumerated.
+
+    Refuses, in this order, a field that is not prime, a dimension above the
+    cap, a degenerate form and a form that is not split.
     """
     if not isinstance(space.field, PrimeField):
         raise UnsupportedContext("enumeration is implemented over prime fields")
@@ -134,6 +145,18 @@ def enumerate_lagrangians(space, cap=DEFAULT_ENUM_CAP):
     if wd.witt_index != space.dim // 2:
         raise NotSplit("the form is not split, so it has no Lagrangians "
                        "of half dimension")
+    return wd
+
+
+def enumerate_lagrangians(space, cap=DEFAULT_ENUM_CAP):
+    """All Lagrangians of a split space over F_p, in canonical order.
+
+    In the Witt basis of witt_decompose the Lagrangians fall into the cells
+    of the recursion in _cells, so each is produced exactly once and none is
+    deduplicated; lagrangian_count gives their number.  Refuses dimensions
+    above the cap because that count grows roughly like p^(dim^2/4).
+    """
+    wd = _split_witt(space, cap)
     field, p = space.field, space.field.p
     to_ambient = _raw(wd.change_of_basis.T)
     lagrangians = (Subspace.span(field, space.dim, _matmul(rows, to_ambient, p))

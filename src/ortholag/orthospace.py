@@ -289,17 +289,22 @@ def witt_index(space, height_bound=DEFAULT_HEIGHT_BOUND):
     return witt_decompose(space, height_bound).witt_index
 
 
+def _split_dim(n, shape):
+    """The dimension 2n ("even") or 2n+1 ("odd") of a split form, n >= 1."""
+    if shape not in ("even", "odd"):
+        raise OutOfRange(f"shape must be 'even' or 'odd', got {shape!r}")
+    if n < 1:
+        raise OutOfRange("n must be at least 1")
+    return 2 * n + (1 if shape == "odd" else 0)
+
+
 def standard_form(field, n, shape):
     """The split form of dimension 2n ("even") or 2n+1 ("odd").
 
     The Gram matrix is n hyperbolic pair blocks [[0,1],[1,0]] down the
     diagonal; the odd shape appends a final basis vector of self-pairing 1.
     """
-    if shape not in ("even", "odd"):
-        raise OutOfRange(f"shape must be 'even' or 'odd', got {shape!r}")
-    if n < 1:
-        raise OutOfRange("n must be at least 1")
-    d = 2 * n + (1 if shape == "odd" else 0)
+    d = _split_dim(n, shape)
     zero, one = field.zero, field.one
     rows = [[zero] * d for _ in range(d)]
     for i in range(n):

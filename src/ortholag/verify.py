@@ -2,20 +2,14 @@
 
 Each suite returns a list of Check records; the CLI prints one PASS/FAIL
 line per check.  Suites are deterministic: enumeration orders are canonical
-and the random sweep takes an explicit seed.
+and the random sweep takes an explicit seed.  The numeric suites import the
+numeric layers when they run, so `tables` and `exceptions` load only strata.
 """
 
 import itertools
 import random
 from typing import NamedTuple
 
-from .fields import GF
-from .linalg import Matrix, Subspace
-from .orthospace import (GramSpace, extend_by_scalar, isometry_check,
-                         standard_form, witt_decompose)
-from .lagrange import (complement_corank_law, component_of, enumerate_lagrangians,
-                       flip_automorphism, lift_odd_to_even,
-                       restrict_even_to_odd)
 from .strata import CurveParams, hirschowitz_exceptions, mod4_table, moduli_dim
 
 
@@ -39,6 +33,9 @@ def intersection_parity_masks(lagrangians, n):
 
 def parity_suite(n=2, q=3, cap=8):
     """Component labels partition the even Lagrangians into two equal classes."""
+    from .fields import GF
+    from .lagrange import component_of, enumerate_lagrangians
+    from .orthospace import standard_form
     space = standard_form(GF(q), n, "even")
     lag = enumerate_lagrangians(space, cap=cap)
     ref = lag[0]
@@ -60,6 +57,9 @@ def parity_suite(n=2, q=3, cap=8):
 
 def bijection_suite(n=1, q=3, c=-1, cap=8):
     """Odd Lagrangians are in bijection with one even component."""
+    from .fields import GF
+    from .lagrange import component_of, enumerate_lagrangians
+    from .orthospace import extend_by_scalar, standard_form
     odd = standard_form(GF(q), n, "odd")
     odds = enumerate_lagrangians(odd, cap=cap)
     w = extend_by_scalar(odd, c)
@@ -79,12 +79,18 @@ def bijection_suite(n=1, q=3, c=-1, cap=8):
 
 
 def _standard_embedding(field, even_dim):
+    from .linalg import Matrix, Subspace
     ident = Matrix.identity(field, even_dim)
     return Subspace.span(field, even_dim, ident.entries[: even_dim - 1])
 
 
 def two_to_one_suite(n=1, q=3, c=-1, cap=8):
     """Restriction to the hyperplane is 2:1 and lifts recover the fibers."""
+    from .fields import GF
+    from .lagrange import (component_of, enumerate_lagrangians,
+                           flip_automorphism, lift_odd_to_even,
+                           restrict_even_to_odd)
+    from .orthospace import extend_by_scalar, standard_form
     field = GF(q)
     odd = standard_form(field, n, "odd")
     w = extend_by_scalar(odd, c)
@@ -119,6 +125,9 @@ def two_to_one_suite(n=1, q=3, c=-1, cap=8):
 
 def corank_suite(n=2, q=3, cap=8):
     """Complements of odd Lagrangians always meet in dimension r + 1."""
+    from .fields import GF
+    from .lagrange import complement_corank_law, enumerate_lagrangians
+    from .orthospace import standard_form
     odd = standard_form(GF(q), n, "odd")
     lag = enumerate_lagrangians(odd, cap=cap)
     bad = 0
@@ -145,6 +154,9 @@ def _no_isotropic_vector(space):
 
 def witt_suite(samples=200, seed=0, max_dim=6, qs=(3, 5)):
     """Random and exhaustive Witt decomposition checks over F_3 and F_5."""
+    from .fields import GF
+    from .linalg import Matrix
+    from .orthospace import GramSpace, isometry_check, witt_decompose
     rng = random.Random(seed)
     count = bad = 0
     while count < samples:

@@ -83,6 +83,38 @@ class TestOgCommands:
                            "--count-only")
         assert code == 0 and out == "8\n"
 
+    @pytest.mark.parametrize("args,count", [
+        (("--q", "101", "--n", "3"), 2081208),
+        (("--q", "1009", "--n", "4", "--shape", "odd", "--cap", "9"),
+         (1009 + 1) * (1009 ** 2 + 1) * (1009 ** 3 + 1) * (1009 ** 4 + 1)),
+        (("--q", "3", "--gram", '{"field": {"type": "Fp", "p": 5}, '
+          '"gram": [[0,1],[1,0]]}'), 2),
+    ])
+    def test_count_only_is_closed_form(self, capsys, args, count):
+        # enumerating the first two takes minutes; the count does not enumerate
+        code, out, err = run(capsys, "og", "enumerate", *args, "--count-only")
+        assert (code, out, err) == (0, f"{count}\n", "")
+
+    @pytest.mark.parametrize("args", [
+        ("--q", "4"),                                      # GF before --n
+        ("--q", "3"),                                      # missing --n
+        ("--q", "3", "--n", "0", "--cap", "1"),            # n < 1 before cap
+        ("--q", "3", "--n", "5"),                          # over the cap
+        ("--q", "3", "--n", "2", "--cap", "3"),
+        ("--q", "3", "--gram", '{"field": {"type": "Q"}, "gram": '
+         '[[1,0,0],[0,1,0],[0,0,1]]}', "--cap", "2"),     # field before cap
+        ("--q", "3", "--gram", "[[1,0,0],[0,0,0],[0,0,1]]",
+         "--cap", "2"),                                    # cap before rank
+        ("--q", "3", "--gram", "[[1,0],[0,0]]"),           # degenerate
+        ("--q", "3", "--gram", "[[1,0],[0,1]]"),           # not split
+        ("--q", "5", "--gram", "[[1,0,0,0],[0,2,0,0],[0,0,1,0],[0,0,0,1]]"),
+    ])
+    def test_count_only_refuses_like_enumeration(self, capsys, args):
+        enumerated = run(capsys, "og", "enumerate", *args)
+        counted = run(capsys, "og", "enumerate", *args, "--count-only")
+        assert counted == enumerated
+        assert counted[0] == 1 and counted[2].startswith("error:")
+
     def test_enumerate_lines(self, capsys):
         code, out, _ = run(capsys, "og", "enumerate", "--q", "3", "--n", "1",
                            "--shape", "odd")
@@ -225,12 +257,13 @@ class TestErrorTyping:
         assert err.startswith("error:")
 
     def test_internal_errors_propagate(self, monkeypatch):
-        import ortholag.cli as cli
+        import ortholag.lagrange as lagrange
 
         def broken(*args, **kwargs):
             raise ValueError("base is not invertible for the given modulus")
 
-        monkeypatch.setattr(cli, "enumerate_lagrangians", broken)
+        # og commands look up the layer functions in their home modules
+        monkeypatch.setattr(lagrange, "enumerate_lagrangians", broken)
         with pytest.raises(ValueError, match="not invertible"):
             main(["og", "enumerate", "--q", "3", "--n", "1"])
 

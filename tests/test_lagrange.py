@@ -14,8 +14,8 @@ from ortholag import (GF, QQ, AmbientMismatch, CapExceeded, DegenerateForm,
                       complement_corank_law, component_of,
                       enumerate_lagrangians, extend_by_scalar,
                       flip_automorphism, is_lagrangian, isometry_check,
-                      lift_odd_to_even, og_tangent_dim, restrict_even_to_odd,
-                      standard_form)
+                      lagrangian_count, lift_odd_to_even, og_tangent_dim,
+                      restrict_even_to_odd, standard_form)
 
 import oracles
 
@@ -123,6 +123,40 @@ class TestEnumeration:
     def test_rationals_unsupported(self):
         with pytest.raises(UnsupportedContext):
             enumerate_lagrangians(GramSpace(QQ, H))
+
+
+def gaussian_binomial(n, k, q):
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+class TestClosedFormCount:
+    @pytest.mark.parametrize("q", [3, 5, 7])
+    @pytest.mark.parametrize("n,shape", [(1, "even"), (1, "odd"), (2, "even"),
+                                         (2, "odd"), (3, "even")])
+    def test_matches_enumeration(self, q, n, shape):
+        space = standard_form(GF(q), n, shape)
+        assert lagrangian_count(q, n, shape) == len(enumerate_lagrangians(space))
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 1009])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_q_binomial_sum(self, q, n):
+        # one term per dimension k of the meet with a fixed Lagrangian
+        even = sum(gaussian_binomial(n, k, q) * q ** ((n - k) * (n - k - 1) // 2)
+                   for k in range(n + 1))
+        odd = sum(gaussian_binomial(n, k, q) * q ** ((n - k) * (n - k + 1) // 2)
+                  for k in range(n + 1))
+        assert lagrangian_count(q, n, "even") == even
+        assert lagrangian_count(q, n, "odd") == odd
+
+    def test_refusals(self):
+        with pytest.raises(OutOfRange):
+            lagrangian_count(3, 0, "even")
+        with pytest.raises(OutOfRange):
+            lagrangian_count(3, 2, "mixed")
 
 
 class TestIsLagrangianAndTangent:
