@@ -36,11 +36,17 @@ show(GramSpace(GF(3), [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
 show(GramSpace(QQ, [[1, 0], [0, -4]]), "x^2 - 4 y^2 over Q")
 show(GramSpace(QQ, [[1, 0], [0, 1]]), "x^2 + y^2 over Q")
 
-# x^2 - 2 y^2 has no rational zero: the search runs out of its height
+# a binary form is decided exactly: d1 x^2 + d2 y^2 has a rational zero
+# iff -d1 d2 is a square, and 2 is not one, so x^2 - 2 y^2 is anisotropic
+show(GramSpace(QQ, [[1, 0], [0, -2]]), "x^2 - 2 y^2 over Q")
+
+# in three or more variables the rational zero is found by a height
+# search; x^2 + y^2 - 3 z^2 has none, so the search runs out of its height
 # budget and says so instead of guessing
 from ortholag import IsotropicSearchExhausted
 
 try:
-    witt_decompose(GramSpace(QQ, [[1, 0], [0, -2]]), height_bound=20)
+    witt_decompose(GramSpace(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, -3]]),
+                   height_bound=5)
 except IsotropicSearchExhausted as exc:
-    print("x^2 - 2 y^2 over Q:", exc)
+    print("x^2 + y^2 - 3 z^2 over Q:", exc)

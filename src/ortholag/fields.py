@@ -46,13 +46,16 @@ def _is_prime(n):
     return True
 
 
-def _mod_sqrt(a, p):
-    """Square root of a quadratic residue a mod an odd prime p (Tonelli-Shanks)."""
+def _sqrt(a, p):
+    """Smaller root of a mod an odd prime p (Tonelli-Shanks); None if nonsquare."""
     a %= p
     if a == 0:
         return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
     if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
+        r = pow(a, (p + 1) // 4, p)
+        return min(r, p - r)
     q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2
@@ -68,7 +71,7 @@ def _mod_sqrt(a, p):
             i += 1
         b = pow(c, 1 << (m - i - 1), p)
         m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-    return r
+    return min(r, p - r)
 
 
 class Field:
@@ -279,11 +282,7 @@ def is_square(a):
     """
     if not isinstance(a.field, PrimeField):
         raise UnsupportedContext("square testing is only supported over prime fields")
-    p = a.field.p
-    v = a.value % p
-    if v == 0:
+    if a.value % a.field.p == 0:
         raise ZeroScalar("squareness of zero is excluded")
-    if pow(v, (p - 1) // 2, p) != 1:
-        return False, None
-    r = _mod_sqrt(v, p)
-    return True, a.field.scalar(min(r, p - r))
+    r = _sqrt(a.value, a.field.p)
+    return (False, None) if r is None else (True, a.field.scalar(r))

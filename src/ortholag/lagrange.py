@@ -15,9 +15,10 @@ from .errors import (AmbientMismatch, CapExceeded, DegenerateForm,
                      NotLagrangian, NotSplit, OddAmbient, OutOfRange,
                      UnsupportedContext)
 from .fields import PrimeField
-from .linalg import Matrix, Subspace, _dot, _matmul, _raw, _rref, _vec_mat, vec_mat
-from .orthospace import (GramSpace, _split_dim, extend_by_scalar, is_isotropic,
-                         orthogonal_complement, witt_decompose)
+from .linalg import (Matrix, Subspace, _dot, _matmul, _raw, _rref, _scale,
+                     _units, _vec_mat)
+from .orthospace import (_binary_zero, _extension_scalar, _split_dim,
+                         is_isotropic, orthogonal_complement, witt_decompose)
 
 DEFAULT_ENUM_CAP = 8
 
@@ -60,29 +61,6 @@ def og_tangent_dim(n):
     if n < 1:
         raise OutOfRange("n must be at least 1")
     return n * (n + 1) // 2
-
-
-def _isotropic_reduction(space, s):
-    """Quotient of s-perp by an isotropic s, with explicit representatives.
-
-    Returns (quotient GramSpace, lift) where lift maps a subspace of the
-    quotient to its preimage in the ambient space (always containing s).
-    Representatives are the canonical basis rows of s-perp whose pivots are
-    not pivots of s, so the construction is deterministic.
-    """
-    field = space.field
-    perp = orthogonal_complement(space, s)
-    s_pivots = set(s.pivots)
-    rep_rows = [row for row, piv in zip(perp.basis.entries, perp.pivots)
-                if piv not in s_pivots]
-    reps = Matrix(field, rep_rows)
-    quotient = GramSpace(field, reps * space.gram * reps.T)
-
-    def lift(sub):
-        amb = [vec_mat(r, reps) for r in sub.basis.entries]
-        return Subspace.span(field, space.dim, amb + list(s.basis.entries))
-
-    return quotient, lift
 
 
 def _cells(gram, start, p):
@@ -185,11 +163,12 @@ def component_of(space, f, reference):
 def lift_odd_to_even(space, e, c):
     """The two Lagrangian lifts of e into the extension of the odd space by c.
 
-    In the extension W, any Lagrangian meeting the original space exactly in
-    e contains e and is spanned over it by an isotropic line of the two
-    dimensional quotient e-perp(W)/e.  A split quotient has exactly two such
-    lines; an anisotropic one has none and the extension is reported as
-    non-split.  plus_lift is the lexicographically smaller lift.
+    In W = V + <w> with Q(w) = c, a Lagrangian meeting V exactly in e is e
+    plus an isotropic line of e-perp(W)/e.  That plane has the basis u, w
+    (u the canonical row of e-perp(V) whose pivot is not a pivot of e) and
+    the Gram matrix diag(Q(u), c), so _binary_zero decides it: its zero
+    (x, y) gives the lines x u + y w and x u - y w, and no zero means the
+    extension is non-split.  plus_lift is the lexicographically smaller lift.
     """
     field, d = space.field, space.dim
     if d % 2 == 0:
@@ -198,20 +177,22 @@ def lift_odd_to_even(space, e, c):
         raise AmbientMismatch("subspace ambient differs from space dimension")
     if not is_lagrangian(space, e):
         raise NotLagrangian("only Lagrangians lift")
-    w = extend_by_scalar(space, c)
-    zero = field.zero
-    e_w = Subspace.span(field, d + 1,
-                        [tuple(r) + (zero,) for r in e.basis.entries])
-    quotient, lift = _isotropic_reduction(w, e_w)
-    wd = witt_decompose(quotient)
-    if wd.witt_index == 0:
+    c = _extension_scalar(field, c)
+    p = field.p
+    perp = orthogonal_complement(space, e)
+    e_pivots = set(e.pivots)
+    u = next(row for row, piv in zip(_raw(perp.basis), perp.pivots)
+             if piv not in e_pivots)
+    xy = _binary_zero(_dot(_vec_mat(u, _raw(space.gram), p), u, p), c, p)
+    if xy is None:
         raise NonSplitExtension(
             "the extension admits no isotropic line over the quotient; "
             "no Lagrangian lift exists")
-    rows = wd.basis_rows
-    lifts = sorted((lift(Subspace.span(field, 2, [rows[0]])),
-                    lift(Subspace.span(field, 2, [rows[1]]))),
-                   key=lambda s: s.key)
+    x, y = xy
+    e_rows = [row + [_units(p)[0]] for row in _raw(e.basis)]
+    lifts = sorted((Subspace._from_raw(field, d + 1, e_rows + [
+        _scale(x, u, p) + [t % p if p else t]]) for t in (y, -y)),
+        key=lambda s: s.key)
     return LiftPair(plus_lift=lifts[0], minus_lift=lifts[1])
 
 
@@ -249,11 +230,9 @@ def flip_automorphism(space):
     extension swaps the two lifts of its restriction.
     """
     d = space.dim
-    field = space.field
-    zero = field.zero
-    if d < 1 or any(space.gram[i, d - 1] != zero for i in range(d - 1)):
-        raise ValueError("last basis vector is not orthogonal to the rest")
-    return Matrix.diagonal(field, [1] * (d - 1) + [-1])
+    if d < 1 or any(space.gram[i, d - 1] for i in range(d - 1)):
+        raise OutOfRange("last basis vector is not orthogonal to the rest")
+    return Matrix.diagonal(space.field, [1] * (d - 1) + [-1])
 
 
 def complement_corank_law(space, e, e2):

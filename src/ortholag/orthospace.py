@@ -10,11 +10,13 @@ so dividing bilinear values by 2 is always legal.
 """
 
 import itertools
+import math
+from fractions import Fraction
 
 from .errors import (AmbientMismatch, DegenerateForm, DimMismatch,
                      IsotropicSearchExhausted, MixedContexts, NotSymmetric,
                      OutOfRange, UnsupportedContext, ZeroScalar)
-from .fields import PrimeField, Scalar, is_square
+from .fields import PrimeField, _sqrt, is_square
 from .linalg import (Matrix, Subspace, _combine, _dot, _identity, _inv,
                      _kernel, _matmul, _raw, _rref, _scale, _units, _vec_mat,
                      dot, vec_mat)
@@ -138,13 +140,32 @@ def _diagonalize(gram, p):
     return rows, [bil(r, r) for r in rows]
 
 
+def _binary_zero(d1, d2, p):
+    """A raw zero of d1 x^2 + d2 y^2 (d1, d2 nonzero), or None if it has none.
+
+    There is one iff -d1/d2 is a square: (1, smaller root) over F_p, and over
+    Q (-den, -num) where -d1/d2 = (num/den)^2 in lowest terms (isqrt decides).
+    """
+    if p:
+        r = _sqrt(-d1 * _inv(d2, p), p)
+        return None if r is None else [1, r]
+    t = -d1 / d2
+    if t <= 0:
+        return None
+    num, den = math.isqrt(t.numerator), math.isqrt(t.denominator)
+    if num * num != t.numerator or den * den != t.denominator:
+        return None
+    return [Fraction(-den), Fraction(-num)]
+
+
 def _isotropic_in_diagonal(field, diag, height_bound):
     """A nonzero isotropic raw coefficient list for diag(d_1..d_k), or None.
 
     None is only returned when anisotropy is certain: dimension at most one,
-    a nonsquare ratio in dimension two over F_p, or a definite form over Q.
-    Over Q an indefinite form is searched by increasing coordinate height and
-    IsotropicSearchExhausted is raised when the bound runs out.
+    a binary form without a zero (decided exactly by _binary_zero), or a
+    definite form over Q.  Over Q an indefinite form of dimension at least
+    three is searched by increasing coordinate height, and
+    IsotropicSearchExhausted is raised when height_bound runs out.
     """
     k, p = len(diag), field.p
     zero, one = _units(p)
@@ -153,23 +174,17 @@ def _isotropic_in_diagonal(field, diag, height_bound):
             return [one if j == i else zero for j in range(k)]
     if k <= 1:
         return None
+    if k == 2:
+        return _binary_zero(diag[0], diag[1], p)
 
     if p:
-        if k == 2:
-            # d1 + d2 y^2 = 0 has a solution iff -d1/d2 is a square
-            ok, root = is_square(Scalar(field, -diag[0] * _inv(diag[1], p) % p))
-            return [1, root.value] if ok else None
-        # dimension >= 3: a diagonal form in three variables always has a zero
+        # a diagonal form in three variables always has a zero
         d1, d2, d3 = diag[:3]
         inv2 = _inv(d2, p)
         for x in range(p):
-            val = (-d3 - d1 * x * x) * inv2 % p
-            if val:
-                ok, root = is_square(Scalar(field, val))
-                if not ok:
-                    continue
-                val = root.value
-            return [x, val, 1] + [0] * (k - 3)
+            root = _sqrt((-d3 - d1 * x * x) * inv2, p)
+            if root is not None:
+                return [x, root, 1] + [0] * (k - 3)
         raise AssertionError("three variable form over F_p with no zero")
 
     # rationals: definite forms are anisotropic, otherwise bounded search
@@ -233,6 +248,8 @@ def witt_decompose(space, height_bound=DEFAULT_HEIGHT_BOUND):
     Each step finds an isotropic vector e, completes it to a hyperbolic pair
     by normalizing a partner f with pairing 1 and clearing its self-pairing,
     then restricts to the orthogonal complement of the pair and repeats.
+    Over Q, height_bound bounds the isotropic vector search on remainders of
+    dimension at least three; binary remainders are decided exactly.
     """
     if not space.nondegenerate:
         raise DegenerateForm("witt decomposition needs a nondegenerate form")
@@ -275,8 +292,8 @@ def witt_decompose(space, height_bound=DEFAULT_HEIGHT_BOUND):
         # over F_p the remainder is at most a plane, and a plane is
         # anisotropic iff -det is a nonsquare
         a = aniso_gram
-        if len(comp) > 2 or is_square(Scalar(
-                field, (a[0][1] * a[1][0] - a[0][0] * a[1][1]) % p))[0]:
+        if len(comp) > 2 or _sqrt(a[0][1] * a[1][0] - a[0][0] * a[1][1],
+                                  p) is not None:
             raise AssertionError("internal error: anisotropic part has a zero")
     return WittDecomposition(
         space, Matrix._from_raw(field, list(zip(*new_rows))), witt_index,
@@ -315,16 +332,19 @@ def standard_form(field, n, shape):
     return GramSpace(field, rows)
 
 
+def _extension_scalar(field, c):
+    """The raw value of an extension scalar c, which must be nonzero."""
+    if not (c := field.raw(c)):
+        raise ZeroScalar("extension scalar must be nonzero")
+    return c
+
+
 def extend_by_scalar(space, c):
     """Orthogonal direct sum with a line of self-pairing c (appended last)."""
-    c = space.field.scalar(c)
-    if not c:
-        raise ZeroScalar("extension scalar must be nonzero")
+    c = _extension_scalar(space.field, c)
     zero = space.field.zero
-    d = space.dim
     rows = [list(r) + [zero] for r in space.gram.entries]
-    rows.append([zero] * d + [c])
-    return GramSpace(space.field, rows)
+    return GramSpace(space.field, rows + [[zero] * space.dim + [c]])
 
 
 def isometry_check(space, other, b):

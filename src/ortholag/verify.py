@@ -58,7 +58,8 @@ def parity_suite(n=2, q=3, cap=8):
 def bijection_suite(n=1, q=3, c=-1, cap=8):
     """Odd Lagrangians are in bijection with one even component."""
     from .fields import GF
-    from .lagrange import component_of, enumerate_lagrangians
+    from .lagrange import (component_of, enumerate_lagrangians,
+                           lagrangian_count)
     from .orthospace import extend_by_scalar, standard_form
     odd = standard_form(GF(q), n, "odd")
     odds = enumerate_lagrangians(odd, cap=cap)
@@ -66,9 +67,7 @@ def bijection_suite(n=1, q=3, c=-1, cap=8):
     evens = enumerate_lagrangians(w, cap=cap)
     ref = evens[0]
     same_ct = sum(1 for f in evens if component_of(w, f, ref).same)
-    expected = 1
-    for i in range(1, n + 1):
-        expected *= q ** i + 1
+    expected = lagrangian_count(q, n, "odd")
     return [
         Check("odd count matches the product formula",
               len(odds) == expected, f"{len(odds)} vs {expected}"),

@@ -13,8 +13,10 @@ rather than any package code path.
 import itertools
 import sys
 import time
+from fractions import Fraction
 
-from ortholag import (GF, QQ, GramSpace, component_of, enumerate_lagrangians,
+from ortholag import (GF, QQ, GramSpace, NonSplitExtension, component_of,
+                      enumerate_lagrangians,
                       extend_by_scalar, complement_corank_law,
                       find_similarity, flip_automorphism, isometry_check,
                       lift_odd_to_even, mumford_sym2_form,
@@ -258,9 +260,45 @@ def test_criterion_9():
             "standard conic", 10.0, _crit9)
 
 
+# --------------------------------------------------------------- criterion 10
+
+def _crit10():
+    # x^2 - 2y^2 and 3x^2 - 5y^2 have no rational zero: -d1*d2 = 2, 15
+    for d1, d2 in ((1, -2), (3, -5)):
+        wd = witt_decompose(GramSpace(QQ, [[d1, 0], [0, d2]]))
+        assert wd.witt_index == 0 and wd.anisotropic_part.dim == 2
+    odd = standard_form(QQ, 1, "odd")
+    e = Subspace.span(QQ, 3, [[1, 0, 0]])
+    try:
+        lift_odd_to_even(odd, e, -2)
+    except NonSplitExtension:
+        pass
+    else:
+        raise AssertionError("c = -2 must be a non-split extension")
+    pair = lift_odd_to_even(odd, e, -10201)  # 10201 = 101^2
+    r = Fraction(1, 101)
+    assert int_rows(pair.plus_lift) == ((1, 0, 0, 0), (0, 0, 1, -r))
+    assert int_rows(pair.minus_lift) == ((1, 0, 0, 0), (0, 0, 1, r))
+    # 53^2 x^2 - 61^2 y^2 vanishes first at (61, 53), above height 50
+    space = GramSpace(QQ, [[53 ** 2, 0], [0, -61 ** 2]])
+    wd = witt_decompose(space)
+    assert wd.witt_index == 1
+    x, y = (v.value for v in wd.basis_rows[0])
+    assert 53 ** 2 * x * x == 61 ** 2 * y * y and x != 0
+    assert isometry_check(space, GramSpace(QQ, wd.block_gram),
+                          wd.change_of_basis)
+
+
+def test_criterion_10():
+    _run(10, "binary forms and lifts over Q decided exactly, also above "
+             "the height bound", 1.0, _crit10)
+
+
 def main():
-    tests = [(name, fn) for name, fn in sorted(globals().items())
-             if name.startswith("test_criterion_")]
+    tests = sorted(((int(name.rsplit("_", 1)[1]), fn)
+                    for name, fn in globals().items()
+                    if name.startswith("test_criterion_")),
+                   key=lambda t: t[0])
     failed = 0
     for _, fn in tests:
         try:

@@ -8,7 +8,7 @@ import pytest
 
 from ortholag import (GF, QQ, DivisionByZero, MixedContexts, Scalar,
                       UnsupportedContext, ZeroScalar, is_square)
-from ortholag.fields import _is_prime
+from ortholag.fields import _is_prime, _sqrt
 
 F3 = GF(3)
 F5 = GF(5)
@@ -170,6 +170,15 @@ class TestIsSquare:
                 assert root * root == field.scalar(v)
                 # witness is the smaller of the two roots
                 assert root.value == min(root.value, p - root.value)
+
+    @pytest.mark.parametrize("p", [3, 5, 13, 17, 41, 97, 257, 7919])
+    def test_raw_sqrt_against_direct_squaring(self, p):
+        # 17, 41, 97 and 257 are 1 mod 8, where Tonelli-Shanks loops
+        roots = {}
+        for x in range(p):
+            roots.setdefault(x * x % p, x)
+        for v in range(-p, 2 * p):
+            assert _sqrt(v, p) == roots.get(v % p)
 
     def test_scalar_repr_and_key(self):
         assert repr(F5.scalar(7)) == "2"

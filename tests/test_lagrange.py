@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from ortholag import (GF, QQ, AmbientMismatch, CapExceeded, DegenerateForm,
                       DegenerateRestriction, DimMismatch, GramSpace, Matrix,
                       NonSplitExtension, NotLagrangian, NotSplit, OddAmbient,
-                      OutOfRange, Subspace, UnsupportedContext,
+                      OrtholagError, OutOfRange, Subspace, UnsupportedContext,
                       complement_corank_law, component_of,
                       enumerate_lagrangians, extend_by_scalar,
                       flip_automorphism, is_lagrangian, isometry_check,
@@ -251,6 +252,73 @@ class TestLifts:
         with pytest.raises(NonSplitExtension):
             lift_odd_to_even(space, e, 1)
 
+    def test_rational_lifts_are_decided_exactly(self):
+        space = standard_form(QQ, 1, "odd")
+        e = Subspace.span(QQ, 3, [[1, 0, 0]])
+        # -Q(u) c = 2 is not a rational square
+        with pytest.raises(NonSplitExtension, match="no Lagrangian lift"):
+            lift_odd_to_even(space, e, -2)
+        # 10201 = 101^2: the isotropic lines u +- w/101 lie above height 50
+        pair = lift_odd_to_even(space, e, -10201)
+        r = Fraction(1, 101)
+        assert int_rows(pair.plus_lift) == ((1, 0, 0, 0), (0, 0, 1, -r))
+        assert int_rows(pair.minus_lift) == ((1, 0, 0, 0), (0, 0, 1, r))
+        w = extend_by_scalar(space, -10201)
+        assert is_lagrangian(w, pair.plus_lift)
+        assert is_lagrangian(w, pair.minus_lift)
+
+    @pytest.mark.parametrize("q", [3, 5, 7])
+    @pytest.mark.parametrize("conjugated", [False, True])
+    def test_lifts_are_the_lagrangians_through_e(self, q, conjugated):
+        # against a full subspace scan of the extension, for every c in F_q^*
+        field = GF(q)
+        space = standard_form(field, 1, "odd")
+        if conjugated:
+            rng = random.Random(q)
+            while True:
+                b = Matrix(field, [[rng.randrange(q) for _ in range(3)]
+                                   for _ in range(3)])
+                if b.is_invertible():
+                    break
+            space = GramSpace(field, b.T * space.gram * b)
+        odd_ls = enumerate_lagrangians(space)
+        assert len(odd_ls) == q + 1
+        for c in range(1, q):
+            w_bases = oracles.lagrangian_bases(
+                int_gram(extend_by_scalar(space, c)), q)
+            for e in odd_ls:
+                e_w = [list(r) + [0] for r in int_rows(e)]
+                want = {f for f in w_bases if all(
+                    oracles.span_contains_mod_p(f, r, q) for r in e_w)}
+                if not want:
+                    with pytest.raises(NonSplitExtension):
+                        lift_odd_to_even(space, e, c)
+                    continue
+                pair = lift_odd_to_even(space, e, c)
+                assert {int_rows(pair.plus_lift),
+                        int_rows(pair.minus_lift)} == want
+                assert len(want) == 2
+                assert pair.plus_lift.key < pair.minus_lift.key
+
+    def test_lift_makes_no_witt_decomposition(self, monkeypatch):
+        import ortholag.lagrange as lagrange
+        import ortholag.orthospace as orthospace
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("witt_decompose called by a lift")
+
+        monkeypatch.setattr(lagrange, "witt_decompose", refuse)
+        monkeypatch.setattr(orthospace, "witt_decompose", refuse)
+        assert not hasattr(lagrange, "_isotropic_reduction")
+        for field, c in ((F5, 1), (F3, -1), (QQ, Fraction(-4, 9))):
+            space = standard_form(field, 2, "odd")
+            e = Subspace.span(field, 5, [[1, 0, 0, 0, 0], [0, 0, 1, 0, 0]])
+            pair = lift_odd_to_even(space, e, c)
+            assert pair.plus_lift != pair.minus_lift
+        with pytest.raises(NonSplitExtension):
+            lift_odd_to_even(standard_form(F3, 1, "odd"),
+                             Subspace.span(F3, 3, [[1, 0, 0]]), 1)
+
     def test_validation(self):
         even = standard_form(F3, 2, "even")
         odd = standard_form(F3, 1, "odd")
@@ -355,8 +423,13 @@ class TestFlip:
         assert flip * flip == Matrix.identity(F5, 4)
 
     def test_rejects_coupled_last_vector(self):
-        with pytest.raises(ValueError):
-            flip_automorphism(GramSpace(F3, H))
+        # a typed domain error that is still a ValueError, also for dim 0
+        msg = "last basis vector is not orthogonal to the rest"
+        for space in (GramSpace(F3, H), GramSpace(QQ, [])):
+            with pytest.raises(OutOfRange, match=msg) as info:
+                flip_automorphism(space)
+            assert isinstance(info.value, OrtholagError)
+            assert isinstance(info.value, ValueError)
 
 
 class TestCorankLaw:

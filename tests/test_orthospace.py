@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ortholag import (GF, QQ, AmbientMismatch, DegenerateForm, DimMismatch,
                       GramSpace, IsotropicSearchExhausted, Matrix,
@@ -236,15 +238,68 @@ class TestWittDecomposition:
         assert witt_index(space) == 2
 
     def test_rationals_exhausted_search_raises(self):
-        # x^2 = 2 y^2 has no rational solution; indefinite, so the search
-        # runs to its height bound and must report rather than decide
-        space = GramSpace(QQ, [[1, 0], [0, -2]])
+        # x^2 + y^2 = 3 z^2 has no rational solution; the form is ternary and
+        # indefinite, so the search runs to its height bound and must report
+        # rather than decide
+        space = GramSpace(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, -3]])
         with pytest.raises(IsotropicSearchExhausted):
-            witt_decompose(space, height_bound=10)
+            witt_decompose(space, height_bound=3)
+
+    @pytest.mark.parametrize("d1,d2", [(1, -2), (3, -5), (Fraction(7, 3), -3),
+                                       (-1, Fraction(1, 2))])
+    def test_rationals_binary_anisotropy_is_certified(self, d1, d2):
+        # a binary form is isotropic iff -d1*d2 is a rational square, which
+        # is decided exactly, whatever the height bound
+        from sympy import Rational, sqrt
+        assert not sqrt(Rational(-d1 * d2)).is_rational
+        for bound in (1, 50):
+            wd = witt_decompose(GramSpace(QQ, [[d1, 0], [0, d2]]),
+                                height_bound=bound)
+            assert wd.witt_index == 0
+            assert wd.anisotropic_part.dim == 2
+            assert wd.anisotropic_part.gram == Matrix(QQ, [[d1, 0], [0, d2]])
+
+    def test_rationals_binary_zero_above_the_height_bound(self):
+        # -1/10201 is (1/101)^2: the zero (101, 1) lies far above the bound
+        wd = witt_decompose(GramSpace(QQ, [[1, 0], [0, -10201]]),
+                            height_bound=3)
+        assert wd.witt_index == 1
+        assert wd.block_gram == Matrix(QQ, H)
 
     def test_rational_height_bound_is_honored(self):
         space = GramSpace(QQ, [[1, 0], [0, -4]])
         assert witt_decompose(space, height_bound=3).witt_index == 1
+        # the ternary search: x^2 + y^2 - 5 z^2 first vanishes at height 2
+        space = GramSpace(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, -5]])
+        with pytest.raises(IsotropicSearchExhausted):
+            witt_decompose(space, height_bound=1)
+        assert witt_decompose(space, height_bound=2).witt_index == 1
+
+
+_NONZERO_Q = st.fractions(min_value=-40, max_value=40, max_denominator=12
+                          ).filter(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_NONZERO_Q, _NONZERO_Q, st.booleans(),
+       st.sampled_from((1, 4, 9, 25, Fraction(1, 4), Fraction(49, 9))),
+       st.integers(-3, 3), st.booleans())
+def test_rational_binary_forms_against_sympy(d1, d2, split, square, t, swap):
+    """Witt index 1 exactly when -d1*d2 is a rational square (sympy), on
+    diag(d1, d2) and on a unimodular conjugate; the change of basis holds."""
+    from sympy import Rational, sqrt
+    if split:
+        d2 = -d1 * square  # so that about half of the draws are split
+    want = 1 if sqrt(Rational(-d1 * d2)).is_rational else 0
+    b = Matrix(QQ, [[1, t], [0, 1]])
+    if swap:
+        b = b * Matrix(QQ, [[0, 1], [1, 0]])
+    diag = GramSpace(QQ, [[d1, 0], [0, d2]])
+    for space in (diag, GramSpace(QQ, b.T * diag.gram * b)):
+        wd = witt_decompose(space)
+        assert wd.witt_index == want
+        assert isometry_check(space, GramSpace(QQ, wd.block_gram),
+                              wd.change_of_basis)
 
 
 class TestStandardFormAndExtension:
