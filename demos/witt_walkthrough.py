@@ -41,12 +41,19 @@ show(GramSpace(QQ, [[1, 0], [0, 1]]), "x^2 + y^2 over Q")
 show(GramSpace(QQ, [[1, 0], [0, -2]]), "x^2 - 2 y^2 over Q")
 
 # in three or more variables the rational zero is found by a height
-# search; x^2 + y^2 - 3 z^2 has none, so the search runs out of its height
-# budget and says so instead of guessing
+# search that solves the last coordinate exactly; x^2 + y^2 - 1009 z^2
+# first vanishes at height 28, on (28, 15, 1) up to signs, since
+# 1009 = 28^2 + 15^2
+wd = show(GramSpace(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, -1009]]),
+          "x^2 + y^2 - 1009 z^2 over Q")
+print("x^2 + y^2 - 1009 z^2 over Q, isotropic vector of height 28:",
+      [int(x.value) for x in wd.basis_rows[0]])
+
+# x^2 + y^2 - 3 z^2 has no rational zero, so the search runs out of its
+# default height bound of 50 and says so instead of guessing
 from ortholag import IsotropicSearchExhausted
 
 try:
-    witt_decompose(GramSpace(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, -3]]),
-                   height_bound=5)
+    witt_decompose(GramSpace(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, -3]]))
 except IsotropicSearchExhausted as exc:
     print("x^2 + y^2 - 3 z^2 over Q:", exc)

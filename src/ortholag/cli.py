@@ -222,8 +222,11 @@ def _cmd_og(args):
         cap = DEFAULT_ENUM_CAP if args.cap is None else args.cap
         if args.count_only:
             _split_witt(space, cap)
-            print(lagrangian_count(space.field.p, space.dim // 2,
-                                   "odd" if space.dim % 2 else "even"))
+            n = space.dim // 2
+            # in dimensions 0 and 1 the zero subspace is the one Lagrangian
+            print(lagrangian_count(space.field.p, n,
+                                   "odd" if space.dim % 2 else "even")
+                  if n else 1)
             return 0
         lag = enumerate_lagrangians(space, cap=cap)
         if args.json:

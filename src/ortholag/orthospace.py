@@ -163,9 +163,15 @@ def _isotropic_in_diagonal(field, diag, height_bound):
 
     None is only returned when anisotropy is certain: dimension at most one,
     a binary form without a zero (decided exactly by _binary_zero), or a
-    definite form over Q.  Over Q an indefinite form of dimension at least
-    three is searched by increasing coordinate height, and
-    IsotropicSearchExhausted is raised when height_bound runs out.
+    definite form over Q.  Over Q an indefinite form of dimension k >= 3 is
+    searched by increasing coordinate height h, and IsotropicSearchExhausted
+    is raised when height_bound runs out.  The diagonal is scaled to
+    integers, and height h costs (2h+1)^(k-1) integer prefix sums: each
+    prefix (c_1..c_{k-1}) in itertools.product order solves its last
+    coordinate from d_k c_k^2 = -(d_1 c_1^2 + ... + d_{k-1} c_{k-1}^2) with
+    math.isqrt.  The answer is the first zero of height h in the product
+    order of all k coordinates, and SEARCH_BUDGET still counts the
+    candidates of height h that order would test up to it.
     """
     k, p = len(diag), field.p
     zero, one = _units(p)
@@ -191,18 +197,24 @@ def _isotropic_in_diagonal(field, diag, height_bound):
     signs = {d > 0 for d in diag}
     if len(signs) == 1:
         return None
+    m = math.lcm(*(d.denominator for d in diag))
+    *head, last = (int(d * m) for d in diag)
     budget = SEARCH_BUDGET
     for h in range(1, height_bound + 1):
-        for cand in itertools.product(range(-h, h + 1), repeat=k):
-            if max(abs(c) for c in cand) != h:
-                continue
-            budget -= 1
+        for pre in itertools.product(range(-h, h + 1), repeat=k - 1):
+            # a prefix on the shell tests all 2h+1 last coordinates, one
+            # below it only -h and h; the first zero is at -r, h-r into them
+            shell = h in pre or -h in pre
+            t, rem = divmod(-sum(d * c * c for d, c in zip(head, pre)), last)
+            r = math.isqrt(t) if not rem and 0 <= t <= h * h else None
+            hit = r is not None and r * r == t and (shell or r == h)
+            budget -= h - r + 1 if hit else 2 * h + 1 if shell else 2
             if budget < 0:
                 raise IsotropicSearchExhausted(
                     f"no isotropic vector within the candidate budget "
                     f"({SEARCH_BUDGET} candidates)")
-            if sum(d * c * c for d, c in zip(diag, cand)) == 0:
-                return [field.raw(c) for c in cand]
+            if hit:
+                return [Fraction(c) for c in pre] + [Fraction(-r)]
     raise IsotropicSearchExhausted(
         f"no isotropic vector up to coordinate height {height_bound}; "
         "anisotropy over Q is not certified")

@@ -234,6 +234,38 @@ def max_isotropic_dim(gram, p):
     return best
 
 
+# ---------------------------------------------------------------- rational height search
+
+class SearchRefused(Exception):
+    """The reference height search gave up; the message says why."""
+
+
+def first_rational_zero(diag, height_bound, budget):
+    """First zero of sum d_i x_i^2 in the plain height scan, as Fractions.
+
+    Heights h = 1..height_bound in turn; at each, every integer tuple of
+    height exactly h in itertools.product order, each one charged to the
+    candidate budget and tested with a Fraction sum.  Raises SearchRefused
+    with the message the package gives when the budget or the height runs
+    out.
+    """
+    left = budget
+    for h in range(1, height_bound + 1):
+        for cand in itertools.product(range(-h, h + 1), repeat=len(diag)):
+            if max(abs(c) for c in cand) != h:
+                continue
+            left -= 1
+            if left < 0:
+                raise SearchRefused(
+                    f"no isotropic vector within the candidate budget "
+                    f"({budget} candidates)")
+            if sum(Fraction(d) * c * c for d, c in zip(diag, cand)) == 0:
+                return [Fraction(c) for c in cand]
+    raise SearchRefused(
+        f"no isotropic vector up to coordinate height {height_bound}; "
+        "anisotropy over Q is not certified")
+
+
 # ---------------------------------------------------------------- random inputs
 
 def random_symmetric_grams(count, seed, qs=(3, 5), max_dim=6, nondegenerate=True):

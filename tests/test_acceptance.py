@@ -15,7 +15,8 @@ import sys
 import time
 from fractions import Fraction
 
-from ortholag import (GF, QQ, GramSpace, NonSplitExtension, component_of,
+from ortholag import (GF, QQ, GramSpace, IsotropicSearchExhausted,
+                      NonSplitExtension, component_of,
                       enumerate_lagrangians,
                       extend_by_scalar, complement_corank_law,
                       find_similarity, flip_automorphism, isometry_check,
@@ -292,6 +293,45 @@ def _crit10():
 def test_criterion_10():
     _run(10, "binary forms and lifts over Q decided exactly, also above "
              "the height bound", 1.0, _crit10)
+
+
+# --------------------------------------------------------------- criterion 11
+
+def _diag_space(*d):
+    return GramSpace(QQ, [[d[i] if i == j else 0 for j in range(len(d))]
+                          for i in range(len(d))])
+
+
+def _crit11():
+    # x^2 + y^2 = 3 z^2 has no rational zero (3 is not a sum of two squares)
+    # and the search walks every height up to the default bound of 50
+    try:
+        witt_decompose(_diag_space(1, 1, -3))
+    except IsotropicSearchExhausted as exc:
+        assert str(exc) == ("no isotropic vector up to coordinate height 50; "
+                            "anisotropy over Q is not certified")
+    else:
+        raise AssertionError("x^2 + y^2 - 3z^2 must be refused")
+    # x^2 + y^2 + z^2 = 7 w^2 has none either (7 is not a sum of three
+    # squares), and the candidate budget runs out before height 50
+    try:
+        witt_decompose(_diag_space(1, 1, 1, -7))
+    except IsotropicSearchExhausted as exc:
+        assert str(exc) == ("no isotropic vector within the candidate budget "
+                            "(2000000 candidates)")
+    else:
+        raise AssertionError("x^2 + y^2 + z^2 - 7w^2 must be refused")
+    # 1009 = 28^2 + 15^2: the first zero has height 28
+    space = _diag_space(1, 1, -1009)
+    wd = witt_decompose(space)
+    assert wd.witt_index == 1
+    assert isometry_check(space, GramSpace(QQ, wd.block_gram),
+                          wd.change_of_basis)
+
+
+def test_criterion_11():
+    _run(11, "ternary and quaternary rational searches refuse or solve at "
+             "the default bounds", 5.0, _crit11)
 
 
 def main():

@@ -115,6 +115,16 @@ class TestOgCommands:
         assert counted == enumerated
         assert counted[0] == 1 and counted[2].startswith("error:")
 
+    @pytest.mark.parametrize("gram", ["[]", "[[1]]", "[[2]]"])
+    def test_count_only_in_dimensions_0_and_1(self, capsys, gram):
+        # the zero subspace is the one Lagrangian, which both modes report
+        code, out, _ = run(capsys, "og", "enumerate", "--q", "3",
+                           "--gram", gram)
+        counted = run(capsys, "og", "enumerate", "--q", "3", "--gram", gram,
+                      "--count-only")
+        assert code == 0 and len(out.splitlines()) == 1
+        assert counted == (0, f"{len(out.splitlines())}\n", "")
+
     def test_enumerate_lines(self, capsys):
         code, out, _ = run(capsys, "og", "enumerate", "--q", "3", "--n", "1",
                            "--shape", "odd")

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ortholag import (GF, QQ, AmbientMismatch, DegenerateForm, DimMismatch,
@@ -15,6 +15,7 @@ from ortholag import (GF, QQ, AmbientMismatch, DegenerateForm, DimMismatch,
                       is_isotropic, isometry_check, mumford_sym2_form,
                       orthogonal_complement, standard_form, witt_decompose,
                       witt_index)
+from ortholag import orthospace
 
 import oracles
 
@@ -300,6 +301,59 @@ def test_rational_binary_forms_against_sympy(d1, d2, split, square, t, swap):
         assert wd.witt_index == want
         assert isometry_check(space, GramSpace(QQ, wd.block_gram),
                               wd.change_of_basis)
+
+
+def _check_search(diag, bound, budget):
+    """The package's search returns the oracle's first zero, or refuses with
+    the oracle's message, under the given height bound and budget."""
+    diag = [Fraction(d) for d in diag]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orthospace, "SEARCH_BUDGET", budget)
+        try:
+            want = oracles.first_rational_zero(diag, bound, budget)
+        except oracles.SearchRefused as exc:
+            with pytest.raises(IsotropicSearchExhausted) as got:
+                orthospace._isotropic_in_diagonal(QQ, diag, bound)
+            assert str(got.value) == str(exc)
+            return None
+        got = orthospace._isotropic_in_diagonal(QQ, diag, bound)
+    assert got == want and all(type(x) is Fraction for x in got)
+    return got
+
+
+class TestRationalHeightSearch:
+    """The prefix search against the plain product-order scan in oracles."""
+
+    def test_zero_with_last_coordinate_zero(self):
+        # x^2 - y^2 + 5 z^2: (-1, -1, 0) is the second candidate at height 1
+        assert _check_search([1, -1, 5], 3, 10 ** 6) == [-1, -1, 0]
+
+    def test_zero_from_a_prefix_below_the_shell(self):
+        # 4x^2 + 9y^2 - z^2 first vanishes at (-1, 0, -2): the prefix (-1, 0)
+        # has height 1, so only z = -2 and z = 2 are candidates of height 2
+        assert _check_search([4, 9, -1], 3, 10 ** 6) == [-1, 0, -2]
+
+    def test_budget_runs_out_exactly_at_a_hit(self):
+        # 26 candidates at height 1, then 25 + 5 + 2 + 1 up to the zero
+        assert _check_search([4, 9, -1], 3, 59) == [-1, 0, -2]
+        assert _check_search([4, 9, -1], 3, 58) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_NONZERO_Q, min_size=3, max_size=5),
+       st.lists(st.integers(-3, 3), min_size=5, max_size=5),
+       st.integers(1, 3), st.booleans(), st.integers(1, 6),
+       st.integers(1, 3000))
+def test_rational_search_against_oracle(diag, xs, z, plant, bound, budget):
+    """Same first zero, or the same refusal, as the product-order scan, on
+    nonzero mixed-sign diagonals of rank 3-5; half of them get a planted
+    zero (xs, z) of height at most 3."""
+    if plant:
+        s = sum(d * x * x for d, x in zip(diag[:-1], xs))
+        if s:
+            diag[-1] = -s / (z * z)
+    assume(min(diag) < 0 < max(diag))
+    _check_search(diag, bound, budget)
 
 
 class TestStandardFormAndExtension:
