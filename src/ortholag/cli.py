@@ -3,7 +3,8 @@
 Three command groups: `strata` for the closed-form dimension calculators,
 `og` for finite orthogonal Grassmannian computations, and `verify` for the
 built-in verification sweeps (also reachable as `og verify`).  Exit codes:
-0 on success, 1 on domain errors or failed verification, 2 on usage errors.
+0 on success, 1 on domain errors or failed verification, 2 on usage errors,
+which include a verify option that the suite's signature does not take.
 
 Importing this module loads no layer but `errors`, and building the parser
 loads none.  Each command imports what it runs when it runs: `strata` the
@@ -18,16 +19,15 @@ import sys
 
 from .errors import MalformedInput, OrtholagError
 
-# the options each verify suite takes; its keys are the names in verify.SUITES
-SUITE_OPTS = {
-    "parity": ("n", "q", "cap"),
-    "bijection": ("n", "q", "c", "cap"),
-    "two_to_one": ("n", "q", "c", "cap"),
-    "corank": ("n", "q", "cap"),
-    "witt": ("samples", "seed"),
-    "tables": (),
-    "exceptions": ("g_max", "n_max"),
-}
+# verify.SUITES in sorted order, named here so that building the parser
+# imports no suite
+SUITE_NAMES = ("bijection", "corank", "exceptions", "parity", "tables",
+               "two_to_one", "witt")
+
+# each verify option and the suite keyword it fills; all but --c are ints
+VERIFY_OPTS = {"--n": "n", "--q": "q", "--c": "c", "--cap": "cap",
+               "--samples": "samples", "--seed": "seed", "--gmax": "g_max",
+               "--nmax": "n_max"}
 
 
 def _build_parser():
@@ -95,60 +95,38 @@ def _build_parser():
 
     for parent in (og_cmds, groups):
         p = parent.add_parser("verify", help="run a verification sweep")
-        p.add_argument("suite", choices=sorted(SUITE_OPTS))
-        p.add_argument("--n", type=int)
-        p.add_argument("--q", type=int)
-        p.add_argument("--c")
-        p.add_argument("--cap", type=int)
-        p.add_argument("--samples", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--gmax", type=int)
-        p.add_argument("--nmax", type=int)
+        p.add_argument("suite", choices=SUITE_NAMES)
+        for flag, key in VERIFY_OPTS.items():
+            p.add_argument(flag, dest=key, metavar=flag[2:].upper(),
+                           type=None if key == "c" else int)
+        p.set_defaults(usage_error=p.error)
 
     return ap
 
 
-def _payload(inline, path, what):
-    if inline is not None:
-        return inline
-    if path is not None:
+def _json_payload(inline, path, what, rows_key, **shape):
+    """The JSON object passed inline or in a file.  A bare list of rows is
+    read as the object {rows_key: rows} filled in with shape."""
+    import json
+    if inline is None and path is not None:
         try:
             with open(path) as fh:
-                return fh.read()
+                inline = fh.read()
         except OSError as exc:
             raise MalformedInput(f"cannot read {what} from {path}: "
                                  f"{exc.strerror}") from exc
-    raise OrtholagError(f"missing {what}: pass it inline or via a file")
-
-
-def _json_arg(text):
-    import json
+    if inline is None:
+        raise OrtholagError(f"missing {what}: pass it inline or via a file")
     try:
-        return json.loads(text)
+        obj = json.loads(inline)
     except ValueError as exc:
         raise MalformedInput(str(exc)) from exc
+    return obj if isinstance(obj, dict) else {**shape, rows_key: obj}
 
 
 def _print_json(obj):
     import json
     print(json.dumps(obj))
-
-
-def _subspace_arg(field, text, ambient):
-    from .jsonio import subspace_from_json
-    obj = _json_arg(text)
-    if isinstance(obj, dict):
-        return subspace_from_json(field, obj)
-    return subspace_from_json(field, {"ambient": ambient, "basis": obj})
-
-
-def _scalar_arg(field, text):
-    from .jsonio import _fraction
-    return field.scalar(_fraction(text))
-
-
-def _fraction_json(f):
-    return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 def _cmd_strata(args):
@@ -177,10 +155,11 @@ def _cmd_strata(args):
     elif args.cmd == "bounds":
         hn = hn_bound(p) if p.n >= 2 else None
         if args.json:
+            from .jsonio import rational_to_json
             _print_json({
                 "N": p.N, "moduli_dim": moduli_dim(p),
                 "sharp_bound": sharp_bound(p),
-                "hn_bound": _fraction_json(hn) if hn is not None else None,
+                "hn_bound": rational_to_json(hn) if hn is not None else None,
                 "hirschowitz_bound": hirschowitz_bound(p)})
         else:
             print(f"N={p.N}")
@@ -200,7 +179,8 @@ def _cmd_strata(args):
 
 def _cmd_og(args):
     from .fields import GF
-    from .jsonio import gramspace_from_json, liftpair_to_json, subspace_to_json
+    from .jsonio import (gramspace_from_json, liftpair_to_json,
+                         scalar_from_json, subspace_from_json, subspace_to_json)
     from .lagrange import (DEFAULT_ENUM_CAP, _split_witt, component_of,
                            enumerate_lagrangians, lagrangian_count,
                            lift_odd_to_even)
@@ -208,13 +188,9 @@ def _cmd_og(args):
     field = GF(args.q)
     if args.cmd == "enumerate":
         if args.gram is not None or args.gram_file is not None:
-            text = _payload(args.gram, args.gram_file, "Gram matrix")
-            obj = _json_arg(text)
-            if isinstance(obj, dict):
-                space = gramspace_from_json(obj)
-            else:
-                space = gramspace_from_json({"field": {"type": "Fp", "p": args.q},
-                                             "gram": obj})
+            space = gramspace_from_json(_json_payload(
+                args.gram, args.gram_file, "Gram matrix", "gram",
+                field={"type": "Fp", "p": args.q}))
         else:
             if args.n is None:
                 raise OrtholagError("enumerate needs --n or --gram")
@@ -236,14 +212,16 @@ def _cmd_og(args):
                 _print_json(subspace_to_json(s))
     elif args.cmd == "lift":
         space = standard_form(field, args.n, "odd")
-        e = _subspace_arg(field, _payload(args.e, args.e_file, "--e"), space.dim)
-        pair = lift_odd_to_even(space, e, _scalar_arg(field, args.c))
+        e = subspace_from_json(field, _json_payload(
+            args.e, args.e_file, "--e", "basis", ambient=space.dim))
+        pair = lift_odd_to_even(space, e, scalar_from_json(field, args.c))
         _print_json(liftpair_to_json(pair))
     else:
         space = standard_form(field, args.n, "even")
-        f = _subspace_arg(field, _payload(args.e, args.e_file, "--e"), space.dim)
-        ref = _subspace_arg(field, _payload(args.ref, args.ref_file, "--ref"),
-                            space.dim)
+        f = subspace_from_json(field, _json_payload(
+            args.e, args.e_file, "--e", "basis", ambient=space.dim))
+        ref = subspace_from_json(field, _json_payload(
+            args.ref, args.ref_file, "--ref", "basis", ambient=space.dim))
         label = component_of(space, f, ref)
         if args.json:
             _print_json({"label": label.label})
@@ -253,17 +231,16 @@ def _cmd_og(args):
 
 
 def _cmd_verify(args):
-    from .verify import SUITES
-    kwargs = {}
-    values = {"n": args.n, "q": args.q, "cap": args.cap,
-              "samples": args.samples, "seed": args.seed,
-              "g_max": args.gmax, "n_max": args.nmax, "c": args.c}
-    if args.c is not None:
+    from .verify import SUITES, suite_options
+    kwargs = {key: getattr(args, key) for key in VERIFY_OPTS.values()
+              if getattr(args, key) is not None}
+    takes = suite_options(args.suite)
+    for flag, key in VERIFY_OPTS.items():
+        if key in kwargs and key not in takes:
+            args.usage_error(f"the {args.suite} suite does not take {flag}")
+    if "c" in kwargs:
         from .jsonio import _fraction
-        values["c"] = _fraction(args.c)
-    for key in SUITE_OPTS[args.suite]:
-        if values.get(key) is not None:
-            kwargs[key] = values[key]
+        kwargs["c"] = _fraction(kwargs["c"])
     checks = SUITES[args.suite](**kwargs)
     for c in checks:
         line = f"{'PASS' if c.ok else 'FAIL'}: {c.name}"

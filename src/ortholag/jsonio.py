@@ -6,7 +6,7 @@ for non-integral rationals; a subspace is {"ambient": d, "basis": [[...]]};
 a Gram space is {"field": {...}, "gram": [[...]]}.
 
 Each function imports the layers it needs when it runs, so
-stratum_row_to_json and _fraction load no numeric layer.
+stratum_row_to_json, rational_to_json and _fraction load no numeric layer.
 """
 
 from fractions import Fraction
@@ -59,13 +59,13 @@ def field_from_json(obj):
     raise UnsupportedContext(f"unknown field description {obj!r}")
 
 
+def rational_to_json(v):
+    """An int or Fraction: a JSON integer if integral, else "a/b"."""
+    return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+
+
 def scalar_to_json(s):
-    v = s.value
-    if isinstance(v, int):
-        return v
-    if v.denominator == 1:
-        return int(v)
-    return f"{v.numerator}/{v.denominator}"
+    return rational_to_json(s.value)
 
 
 def scalar_from_json(field, obj):
@@ -85,6 +85,8 @@ def subspace_to_json(s):
 def subspace_from_json(field, obj):
     from .linalg import Subspace
     ambient = _get(obj, "ambient")
+    if isinstance(ambient, bool) or not isinstance(ambient, int) or ambient < 0:
+        raise MalformedInput(f"ambient must be an integer >= 0, got {ambient!r}")
     rows = [[scalar_from_json(field, x) for x in row] for row in _rows(obj, "basis")]
     return Subspace.span(field, ambient, rows)
 

@@ -10,6 +10,7 @@ import itertools
 import random
 from typing import NamedTuple
 
+from .errors import OutOfRange
 from .strata import CurveParams, hirschowitz_exceptions, mod4_table, moduli_dim
 
 
@@ -55,16 +56,23 @@ def parity_suite(n=2, q=3, cap=8):
     return checks
 
 
-def bijection_suite(n=1, q=3, c=-1, cap=8):
-    """Odd Lagrangians are in bijection with one even component."""
+def _odd_family(n, q, c, cap):
+    """The split space of dimension 2n+1 over F_q, its extension by c, and
+    the Lagrangians of each: (odd, w, odds, evens).  The odd space's
+    refusals come before the extension's."""
     from .fields import GF
-    from .lagrange import (component_of, enumerate_lagrangians,
-                           lagrangian_count)
+    from .lagrange import enumerate_lagrangians
     from .orthospace import extend_by_scalar, standard_form
     odd = standard_form(GF(q), n, "odd")
     odds = enumerate_lagrangians(odd, cap=cap)
     w = extend_by_scalar(odd, c)
-    evens = enumerate_lagrangians(w, cap=cap)
+    return odd, w, odds, enumerate_lagrangians(w, cap=cap)
+
+
+def bijection_suite(n=1, q=3, c=-1, cap=8):
+    """Odd Lagrangians are in bijection with one even component."""
+    from .lagrange import component_of, lagrangian_count
+    _, w, odds, evens = _odd_family(n, q, c, cap)
     ref = evens[0]
     same_ct = sum(1 for f in evens if component_of(w, f, ref).same)
     expected = lagrangian_count(q, n, "odd")
@@ -77,25 +85,15 @@ def bijection_suite(n=1, q=3, c=-1, cap=8):
     ]
 
 
-def _standard_embedding(field, even_dim):
-    from .linalg import Matrix, Subspace
-    ident = Matrix.identity(field, even_dim)
-    return Subspace.span(field, even_dim, ident.entries[: even_dim - 1])
-
-
 def two_to_one_suite(n=1, q=3, c=-1, cap=8):
     """Restriction to the hyperplane is 2:1 and lifts recover the fibers."""
-    from .fields import GF
-    from .lagrange import (component_of, enumerate_lagrangians,
-                           flip_automorphism, lift_odd_to_even,
+    from .lagrange import (component_of, flip_automorphism, lift_odd_to_even,
                            restrict_even_to_odd)
-    from .orthospace import extend_by_scalar, standard_form
-    field = GF(q)
-    odd = standard_form(field, n, "odd")
-    w = extend_by_scalar(odd, c)
-    v_embed = _standard_embedding(field, w.dim)
-    evens = enumerate_lagrangians(w, cap=cap)
-    odds = enumerate_lagrangians(odd, cap=cap)
+    from .linalg import Subspace
+    odd, w, odds, evens = _odd_family(n, q, c, cap)
+    # the odd space is the span of the first dim - 1 basis vectors of w
+    v_embed = Subspace.span(w.field, w.dim, [[int(i == j) for j in range(w.dim)]
+                                             for i in range(w.dim - 1)])
     flip = flip_automorphism(w)
     fibers = {}
     for f in evens:
@@ -151,16 +149,23 @@ def _no_isotropic_vector(space):
     return True
 
 
-def witt_suite(samples=200, seed=0, max_dim=6, qs=(3, 5)):
+# the random Gram matrices of witt_suite: their fields and largest dimension
+WITT_FIELDS = (3, 5)
+WITT_MAX_DIM = 6
+
+
+def witt_suite(samples=200, seed=0):
     """Random and exhaustive Witt decomposition checks over F_3 and F_5."""
     from .fields import GF
     from .linalg import Matrix
     from .orthospace import GramSpace, isometry_check, witt_decompose
+    if samples < 0:
+        raise OutOfRange(f"samples must be at least 0, got {samples}")
     rng = random.Random(seed)
     count = bad = 0
     while count < samples:
-        q = rng.choice(qs)
-        d = rng.randint(1, max_dim)
+        q = rng.choice(WITT_FIELDS)
+        d = rng.randint(1, WITT_MAX_DIM)
         field = GF(q)
         rows = [[0] * d for _ in range(d)]
         for i in range(d):
@@ -182,7 +187,7 @@ def witt_suite(samples=200, seed=0, max_dim=6, qs=(3, 5)):
                     "anisotropic remainder", bad == 0,
                     f"{count} samples, {bad} failures")]
 
-    for q in qs:
+    for q in WITT_FIELDS:
         field = GF(q)
         bad_odd = 0
         total = 0
@@ -282,3 +287,11 @@ SUITES = {
 
 def run_suite(name, **kwargs):
     return SUITES[name](**kwargs)
+
+
+def suite_options(name):
+    """The keywords suite name takes, read from its signature (through any
+    functools.wraps wrapper)."""
+    fn = SUITES[name]
+    code = getattr(fn, "__wrapped__", fn).__code__
+    return code.co_varnames[:code.co_argcount]

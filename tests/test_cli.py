@@ -245,6 +245,13 @@ class TestErrorHandling:
         assert exc.value.code == 2
 
 
+def test_verify_options_are_the_suite_keywords():
+    from ortholag.cli import VERIFY_OPTS
+    from ortholag.verify import SUITES, suite_options
+    assert {k for name in SUITES for k in suite_options(name)} == set(
+        VERIFY_OPTS.values())
+
+
 class TestErrorTyping:
     @pytest.mark.parametrize("argv", [
         ("og", "enumerate", "--q", "3", "--gram", "[[1,2],[0,1]]"),

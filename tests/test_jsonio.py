@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from ortholag import (GF, QQ, GramSpace, Subspace, UnsupportedContext,
-                      lift_odd_to_even, standard_form)
+from ortholag import (GF, QQ, GramSpace, MalformedInput, Subspace,
+                      UnsupportedContext, lift_odd_to_even, standard_form)
 from ortholag.jsonio import (field_from_json, field_to_json,
                              gramspace_from_json, gramspace_to_json,
                              liftpair_from_json, liftpair_to_json,
@@ -78,6 +78,14 @@ class TestSubspacesAndSpaces:
         obj = subspace_to_json(s)
         assert obj == {"ambient": 2, "basis": [[1, 2]]}
         assert subspace_from_json(QQ, obj) == s
+
+    @pytest.mark.parametrize("ambient", [True, False, -1, 4.0, "3", None, [3]])
+    def test_subspace_ambient_must_be_a_dimension(self, ambient):
+        with pytest.raises(MalformedInput, match="ambient must be an integer"):
+            subspace_from_json(F5, {"ambient": ambient, "basis": []})
+
+    def test_subspace_ambient_zero(self):
+        assert subspace_from_json(F5, {"ambient": 0, "basis": []}).dim == 0
 
     def test_gramspace_round_trip(self):
         space = standard_form(F5, 1, "odd")

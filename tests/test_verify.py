@@ -1,11 +1,14 @@
 """The built-in verification sweeps must all pass on small parameters."""
 
+import functools
+
 import pytest
 
+from ortholag import OutOfRange
 from ortholag.verify import (SUITES, bijection_suite, corank_suite,
                              exception_families, exceptions_suite,
-                             parity_suite, run_suite, tables_suite,
-                             two_to_one_suite, witt_suite)
+                             parity_suite, run_suite, suite_options,
+                             tables_suite, two_to_one_suite, witt_suite)
 
 
 def assert_all_ok(checks):
@@ -45,6 +48,12 @@ def test_witt_suite_small():
     assert_all_ok(witt_suite(samples=25, seed=3))
 
 
+@pytest.mark.parametrize("samples", [-1, -200])
+def test_witt_suite_refuses_negative_samples(samples):
+    with pytest.raises(OutOfRange, match="samples must be at least 0"):
+        witt_suite(samples=samples)
+
+
 def test_tables_suite():
     assert_all_ok(tables_suite())
 
@@ -71,3 +80,18 @@ def test_check_fields_are_reportable():
         assert isinstance(c.name, str) and c.name
         assert isinstance(c.ok, bool)
         assert isinstance(c.detail, str)
+
+
+def test_suite_options_are_the_signatures(monkeypatch):
+    assert suite_options("parity") == ("n", "q", "cap")
+    assert suite_options("two_to_one") == ("n", "q", "c", "cap")
+    assert suite_options("witt") == ("samples", "seed")
+    assert suite_options("tables") == ()
+    assert suite_options("exceptions") == ("g_max", "n_max")
+
+    # a tracer's functools.wraps wrapper keeps the suite's options
+    @functools.wraps(SUITES["witt"])
+    def traced(*args, **kwargs):
+        return SUITES["witt"](*args, **kwargs)
+    monkeypatch.setitem(SUITES, "witt", traced)
+    assert suite_options("witt") == ("samples", "seed")
