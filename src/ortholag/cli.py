@@ -154,19 +154,16 @@ def _cmd_strata(args):
                   f"flags={','.join(row.flags)}")
     elif args.cmd == "bounds":
         hn = hn_bound(p) if p.n >= 2 else None
+        bounds = {"N": p.N, "moduli_dim": moduli_dim(p),
+                  "sharp_bound": sharp_bound(p), "hn_bound": hn,
+                  "hirschowitz_bound": hirschowitz_bound(p)}
         if args.json:
             from .jsonio import rational_to_json
-            _print_json({
-                "N": p.N, "moduli_dim": moduli_dim(p),
-                "sharp_bound": sharp_bound(p),
-                "hn_bound": rational_to_json(hn) if hn is not None else None,
-                "hirschowitz_bound": hirschowitz_bound(p)})
+            _print_json({**bounds, "hn_bound": None if hn is None
+                         else rational_to_json(hn)})
         else:
-            print(f"N={p.N}")
-            print(f"moduli_dim={moduli_dim(p)}")
-            print(f"sharp_bound={sharp_bound(p)}")
-            print(f"hn_bound={hn if hn is not None else 'undefined'}")
-            print(f"hirschowitz_bound={hirschowitz_bound(p)}")
+            for key, val in bounds.items():
+                print(f"{key}={'undefined' if val is None else val}")
     else:
         found = hirschowitz_exceptions(args.gmax, args.nmax)
         if args.json:

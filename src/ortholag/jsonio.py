@@ -55,7 +55,10 @@ def field_from_json(obj):
     if kind == "Q":
         return QQ
     if kind == "Fp":
-        return GF(_get(obj, "p"))
+        p = _get(obj, "p")
+        if isinstance(p, bool) or not isinstance(p, int):
+            raise MalformedInput(f"p must be an integer, got {p!r}")
+        return GF(p)
     raise UnsupportedContext(f"unknown field description {obj!r}")
 
 
@@ -116,7 +119,4 @@ def liftpair_from_json(field, obj):
 
 
 def stratum_row_to_json(row):
-    return {"g": row.g, "n": row.n, "t": row.t, "e": row.e,
-            "component": row.component, "stratum_dim": row.stratum_dim,
-            "dim_max_lagrangians": row.dim_max_lagrangians,
-            "flags": list(row.flags)}
+    return {**row._asdict(), "flags": list(row.flags)}

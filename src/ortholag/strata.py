@@ -1,11 +1,13 @@
 """Closed-form dimension bookkeeping for odd orthogonal bundle strata.
 
-Everything here is exact integer or rational arithmetic in the two inputs
-g >= 2 (curve genus) and n >= 1 (Lagrangian subbundle rank); the ambient
-bundles have rank 2n+1 and trivial determinant.  The stratification
-parameter t is minus twice the maximal Lagrangian subbundle degree; it is
-always even and the values taken by a general bundle depend on
-N = (n+1)(g-1) modulo 4.
+The inputs are g >= 2 (curve genus) and n >= 1 (Lagrangian subbundle rank);
+the ambient bundles have rank 2n+1 and trivial determinant.  The
+stratification parameter t is minus twice the maximal Lagrangian subbundle
+degree; it is always even and the values taken by a general bundle depend
+on N = (n+1)(g-1) modulo 4.  A stratum's dimension is that of its extension
+parameter space (param_space_dim) minus that of its family of maximal
+Lagrangians (h0_wedge2), at e = t/2.  All arithmetic is int arithmetic
+except hn_bound, which is a Fraction.
 """
 
 from fractions import Fraction
@@ -28,9 +30,9 @@ class CurveParams(_GenusRank):
     __slots__ = ()
 
     def __new__(cls, g, n):
-        if not isinstance(g, int) or g < 2:
+        if isinstance(g, bool) or not isinstance(g, int) or g < 2:
             raise OutOfRange(f"genus must be an integer >= 2, got {g}")
-        if not isinstance(n, int) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise OutOfRange(f"rank parameter must be an integer >= 1, got {n}")
         return super().__new__(cls, g, n)
 
@@ -79,19 +81,15 @@ def _check_t(p: CurveParams, t: int):
 
 
 def stratum_dim(p: CurveParams, t: int) -> int:
-    """Dimension of the stratum of bundles with parameter exactly t.
-
-    Below the pivot the stratum is proper of dimension
-    n(3n+1)(g-1)/2 + nt/2; from the pivot up to N+3 it is dense in a
-    component, so the dimension equals moduli_dim.  The two expressions
-    agree at t = N.
+    """Dimension of the stratum of bundles with parameter exactly t: the
+    extension parameter space at e = t/2 minus the family of maximal
+    Lagrangians.  Through the pivot that family is a point and the stratum
+    is proper, of dimension n(3n+1)(g-1)/2 + nt/2.  Above it the difference
+    is moduli_dim, which that formula also gives at t = N: the stratum is
+    dense in a component.
     """
     _check_t(p, t)
-    if t <= p.N:
-        val = Fraction(p.n * (3 * p.n + 1) * (p.g - 1), 2) + Fraction(p.n * t, 2)
-        assert val.denominator == 1
-        return int(val)
-    return moduli_dim(p)
+    return param_space_dim(p, t // 2).total - h0_wedge2(p, t // 2)
 
 
 def stratum_flags(p: CurveParams, t: int):
@@ -108,15 +106,11 @@ def stratum_flags(p: CurveParams, t: int):
 def dim_max_lagrangians(p: CurveParams, t: int) -> int:
     """Dimension of the family of maximal Lagrangian subbundles at parameter t.
 
-    Zero through the pivot (a unique one below it, finitely many at it),
-    and n(t-N)/2 above it.
+    This is h0_wedge2 at e = t/2: zero through the pivot (a unique one below
+    it, finitely many at it), and n(t-N)/2 above it.
     """
     _check_t(p, t)
-    if t <= p.N:
-        return 0
-    val = Fraction(p.n * (t - p.N), 2)
-    assert val.denominator == 1
-    return int(val)
+    return h0_wedge2(p, t // 2)
 
 
 def max_lagrangian_count_class(p: CurveParams, t: int) -> str:
@@ -170,12 +164,16 @@ def hirschowitz_exceptions(g_max: int, n_max: int):
     strictly smaller than t/2, by direct comparison.
 
     These are exactly the parameter sets where a maximal rank-n subbundle of
-    a general bundle in the component can be Lagrangian.
+    a general bundle in the component can be Lagrangian.  There are none
+    with g >= 5, so the cost grows with n_max only.
     """
     if g_max < 2 or n_max < 1:
         raise OutOfRange("need g_max >= 2 and n_max >= 1")
+    # N/2 - n(n+1)(g-1)/(2n+1) = N/(2(2n+1)), and for g >= 5
+    # N - (4n+2) = (n+1)(g-5) + 2 > 0, so the difference exceeds 1: the
+    # ceiling is below N/2 <= t/2 for every general t
     out = []
-    for g in range(2, g_max + 1):
+    for g in range(2, min(g_max, 4) + 1):
         for n in range(1, n_max + 1):
             p = CurveParams(g, n)
             for t, _ in general_t_values(p):
@@ -198,24 +196,22 @@ def param_space_dim(p: CurveParams, e: int) -> ParamSpaceDims:
     """
     if e < 0:
         raise OutOfRange("e must be nonnegative")
-    total = Fraction(p.n * (3 * p.n + 1) * (p.g - 1), 2) + p.n * e
-    assert total.denominator == 1
-    h1_bundle = e + p.n * (p.g - 1)
-    h1_wedge2 = Fraction((p.n - 1) * e) + Fraction(p.n * (p.n - 1) * (p.g - 1), 2)
-    assert h1_wedge2.denominator == 1
-    return ParamSpaceDims(int(total), h1_bundle, int(h1_wedge2))
+    n, g = p.n, p.g
+    # each // halves an even int: n(n+1) and n(n-1) are products of
+    # consecutive ints, and n(3n+1) = n(n+1) + 2n^2
+    return ParamSpaceDims(n * (3 * n + 1) // 2 * (g - 1) + n * e,
+                          e + n * (g - 1),
+                          (n - 1) * e + n * (n - 1) // 2 * (g - 1))
 
 
 def h0_wedge2(p: CurveParams, e: int) -> int:
     """Sections of the second exterior power twist: zero up to e = N/2,
-    then ne - n(n+1)(g-1)/2."""
+    then n(2e-N)/2 = ne - n(n+1)(g-1)/2."""
     if e < 0:
         raise OutOfRange("e must be nonnegative")
     if 2 * e <= p.N:
         return 0
-    val = Fraction(p.n * (2 * e - p.N), 2)
-    assert val.denominator == 1
-    return int(val)
+    return p.n * (2 * e - p.N) // 2  # exact: nN = n(n+1)(g-1) is even
 
 
 def closure_chain(p: CurveParams, component: str):

@@ -126,6 +126,13 @@ def _enumerate_cases():
         ["--q", "3", "--gram", "7"],
         ["--q", "3", "--gram", '{"field": 5, "gram": [[1]]}'],
         ["--q", "3", "--gram", '{"field": {"type": "R"}, "gram": [[1]]}'],
+        # p must be an int that is not a bool
+        ["--q", "3", "--gram", '{"field": {"type": "Fp", "p": "5"}, '
+         '"gram": [[0,1],[1,0]]}'],
+        ["--q", "3", "--gram", '{"field": {"type": "Fp", "p": true}, '
+         '"gram": [[0,1],[1,0]]}'],
+        ["--q", "3", "--gram", '{"field": {"type": "Fp", "p": 5.0}, '
+         '"gram": [[0,1],[1,0]]}'],
         ["--q", "3", "--gram", "[[1,0],[0"],
         ["--q", "3", "--gram", "[[true,0],[0,1]]"],
         ["--q", "3", "--gram", "[[1.5,0],[0,1]]"],

@@ -27,6 +27,11 @@ class TestFields:
         assert field_to_json(QQ) == {"type": "Q"}
         assert field_to_json(F5) == {"type": "Fp", "p": 5}
 
+    @pytest.mark.parametrize("p", ["5", True, False, 5.0, None, [5]])
+    def test_p_must_be_an_int(self, p):
+        with pytest.raises(MalformedInput, match="p must be an integer"):
+            field_from_json({"type": "Fp", "p": p})
+
     def test_unknown(self):
         with pytest.raises(UnsupportedContext):
             field_from_json({"type": "R"})

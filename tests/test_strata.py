@@ -1,8 +1,12 @@
 """Numeric invariants of the stratification calculator."""
 
+import itertools
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ortholag import OutOfRange
 from ortholag.strata import (CurveParams, ParamSpaceDims, closure_chain,
@@ -34,6 +38,11 @@ class TestParams:
             cp(2.5, 1)
         with pytest.raises(OutOfRange):
             cp(2, "3")
+
+    @pytest.mark.parametrize("g,n", [(3, True), (3, False), (True, 2)])
+    def test_bool(self, g, n):
+        with pytest.raises(OutOfRange):
+            CurveParams(g, n)
 
     def test_value_type_behaviour(self):
         p = cp(3, 2)
@@ -214,6 +223,19 @@ def family_oracle(g_max, n_max):
     return out
 
 
+def direct_exceptions(g_max, n_max):
+    """Every (g, n, t) with t general and ceil(n(n+1)(g-1)/(2n+1)) >= t/2,
+    scanning every genus up to g_max."""
+    out = []
+    for g in range(2, g_max + 1):
+        for n in range(1, n_max + 1):
+            big_n = (n + 1) * (g - 1)
+            bound = -(-n * (n + 1) * (g - 1) // (2 * n + 1))
+            base = big_n + big_n % 2
+            out += [(g, n, t) for t in (base, base + 2) if bound >= t // 2]
+    return out
+
+
 class TestHirschowitz:
     def test_bound_examples(self):
         assert hirschowitz_bound(cp(2, 1)) == 1
@@ -231,6 +253,15 @@ class TestHirschowitz:
         got = set(hirschowitz_exceptions(4, 3))
         assert got == {(2, 1, 2), (2, 2, 4), (2, 3, 4),
                        (3, 1, 4), (3, 2, 6), (3, 3, 8), (4, 3, 12)}
+
+    def test_exceptions_match_direct_scan_over_every_genus(self):
+        assert hirschowitz_exceptions(40, 200) == direct_exceptions(40, 200)
+
+    def test_exceptions_cost_does_not_grow_with_genus(self):
+        start = time.perf_counter()
+        found = hirschowitz_exceptions(10**6, 1000)
+        assert time.perf_counter() - start < 1
+        assert set(found) == family_oracle(4, 1000)
 
     def test_exceptions_match_family_oracle(self):
         assert set(hirschowitz_exceptions(10, 20)) == family_oracle(10, 20)
@@ -309,3 +340,176 @@ class TestClosureChain:
     def test_domain(self):
         with pytest.raises(OutOfRange):
             closure_chain(cp(3, 1), "plus")
+
+
+# Reference closed forms, written as Fraction polynomials on each regime and
+# independently of the int arithmetic in strata.
+
+def pivot(g, n):
+    return (n + 1) * (g - 1)
+
+
+def closed_stratum_dim(g, n, t):
+    if t <= pivot(g, n):
+        return Fraction(n * (3 * n + 1) * (g - 1), 2) + Fraction(n * t, 2)
+    return Fraction(n * (2 * n + 1) * (g - 1))
+
+
+def closed_dim_max_lagrangians(g, n, t):
+    return Fraction(0) if t <= pivot(g, n) else Fraction(n * (t - pivot(g, n)), 2)
+
+
+def closed_param_space_dim(g, n, e):
+    return (Fraction(n * (3 * n + 1) * (g - 1), 2) + n * e,
+            Fraction(e + n * (g - 1)),
+            (n - 1) * e + Fraction(n * (n - 1) * (g - 1), 2))
+
+
+def closed_h0_wedge2(g, n, e):
+    return Fraction(0) if 2 * e <= pivot(g, n) else Fraction(
+        n * (2 * e - pivot(g, n)), 2)
+
+
+def assert_int(got, want):
+    """got is an int (not a bool, float or Fraction) equal to want."""
+    assert type(got) is int and got == want, (got, want)
+
+
+BIG = 10**6
+
+
+@st.composite
+def genus_rank_t(draw):
+    """(g, n, t) up to 10^6, with t drawn over its whole range or next to
+    the pivot."""
+    g, n = draw(st.integers(2, BIG)), draw(st.integers(1, BIG))
+    top = (pivot(g, n) + 3) // 2
+    near = max(1, pivot(g, n) // 2 - 1)
+    return g, n, 2 * draw(st.integers(1, top) | st.integers(near, top))
+
+
+@st.composite
+def genus_rank_e(draw):
+    """(g, n, e) with g, n up to 10^6 and e up to 10^6 or next to N/2."""
+    g, n = draw(st.integers(2, BIG)), draw(st.integers(1, BIG))
+    half = pivot(g, n) // 2
+    return g, n, draw(st.integers(0, BIG)
+                      | st.integers(max(0, half - 2), half + 2))
+
+
+class TestClosedForms:
+    @settings(max_examples=300, deadline=None)
+    @given(genus_rank_t())
+    def test_t_functions(self, gnt):
+        g, n, t = gnt
+        p = cp(g, n)
+        assert_int(stratum_dim(p, t), closed_stratum_dim(g, n, t))
+        assert_int(dim_max_lagrangians(p, t), closed_dim_max_lagrangians(g, n, t))
+
+    @settings(max_examples=300, deadline=None)
+    @given(genus_rank_e())
+    def test_e_functions(self, gne):
+        g, n, e = gne
+        p = cp(g, n)
+        for got, want in zip(param_space_dim(p, e), closed_param_space_dim(g, n, e)):
+            assert_int(got, want)
+        assert_int(h0_wedge2(p, e), closed_h0_wedge2(g, n, e))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, BIG), st.integers(1, BIG))
+    def test_mod4_table_shape(self, g, n):
+        big_n = pivot(g, n)
+        half = Fraction(n, 2)
+        want = {0: ((big_n, "+", 0), (big_n + 2, "-", n)),
+                2: ((big_n, "-", 0), (big_n + 2, "+", n)),
+                1: ((big_n + 1, "-", half), (big_n + 3, "+", 3 * half)),
+                3: ((big_n + 1, "+", half), (big_n + 3, "-", 3 * half))}
+        rows = mod4_table(cp(g, n))
+        assert tuple((r.t, r.component, r.dim_max_lagrangians)
+                     for r in rows) == want[big_n % 4]
+
+
+def certify(identity, gs, ns, es, region):
+    """Check identity(g, n, e) on the product grid gs x ns x es, after
+    checking that every grid point lies in the region.
+
+    Both sides of each certified identity are polynomials of degree <= 1 in g
+    and e and <= 2 in n on the region (the halvings in strata are exact, see
+    test_halvings_are_exact).  A polynomial of degree <= d_i in variable i
+    that vanishes on a product of d_i + 1 points per variable is zero, so 2, 3
+    and 2 points prove the identity on the whole region.
+    """
+    assert (len(set(gs)), len(set(ns)), len(set(es))) == (2, 3, 2)
+    for g, n, e in itertools.product(gs, ns, es):
+        assert region(g, n, e), (g, n, e)
+        assert identity(g, n, e), (g, n, e)
+
+
+class TestCertificates:
+    def test_halvings_are_exact(self):
+        # parity of an integer polynomial in n depends only on n mod 2
+        for n in (0, 1):
+            assert n * (n + 1) % 2 == n * (n - 1) % 2 == n * (3 * n + 1) % 2 == 0
+
+    def test_below_the_pivot(self):
+        def identity(g, n, e):
+            p, t = cp(g, n), 2 * e
+            return (stratum_dim(p, t) == closed_stratum_dim(g, n, t)
+                    and dim_max_lagrangians(p, t) == h0_wedge2(p, e) == 0)
+        certify(identity, (3, 4), (2, 3, 4), (1, 2),
+                lambda g, n, e: 0 < 2 * e <= pivot(g, n))
+
+    def test_above_the_pivot(self):
+        # stratum_dim and dim_max_lagrangians take only t <= N+3 there, so
+        # the count is certified on the helpers they are built from
+        def identity(g, n, e):
+            p = cp(g, n)
+            return (param_space_dim(p, e).total - h0_wedge2(p, e) == moduli_dim(p)
+                    and h0_wedge2(p, e) == closed_h0_wedge2(g, n, e))
+        certify(identity, (2, 3), (1, 2, 3), (5, 6),
+                lambda g, n, e: 2 * e > pivot(g, n))
+
+    def test_param_space_dim(self):
+        def identity(g, n, e):
+            dims = param_space_dim(cp(g, n), e)
+            return (dims == closed_param_space_dim(g, n, e)
+                    and dims.total == (n * n * (g - 1) + 1)
+                    + (dims.h1_bundle - 1) + dims.h1_wedge2)
+        certify(identity, (2, 3), (1, 2, 3), (0, 1), lambda g, n, e: e >= 0)
+
+    def test_formulas_agree_at_the_pivot(self):
+        # in g and n alone, so e is a dummy variable
+        def identity(g, n, e):
+            return (Fraction(n * (3 * n + 1) * (g - 1), 2)
+                    + Fraction(n * pivot(g, n), 2) == moduli_dim(cp(g, n)))
+        certify(identity, (2, 3), (1, 2, 3), (0, 1), lambda g, n, e: True)
+
+    def test_no_exceptions_from_genus_five(self):
+        # with x = n(n+1)(g-1)/(2n+1): 2(2n+1)(N/2 - x) = N, and
+        # N - (4n+2) = (n+1)(g-5) + 2 > 0 for g >= 5, so N/2 - x > 1 and
+        # ceil(x) < N/2 <= t/2 for both general t
+        def identity(g, n, e):
+            big_n = pivot(g, n)
+            return ((2 * n + 1) * big_n - 2 * n * (n + 1) * (g - 1) == big_n
+                    and big_n - (4 * n + 2) == (n + 1) * (g - 5) + 2)
+        certify(identity, (5, 6), (1, 2, 3), (0, 1), lambda g, n, e: g >= 5)
+
+    def test_exceptions_below_genus_five_repeat_every_four_ranks(self):
+        """For g <= 4 and n >= 2, g - 1 < 2n + 1, and
+        n(n+1)/(2n+1) = (2n+1)/4 - 1/(4(2n+1)), so hirschowitz_bound is
+        ceil((g-1)(2n+1)/4 - eps) with 0 < eps < 1/4, which is
+        ceil((g-1)(2n+1)/4).  Raising n by 4 raises it, and N/2 and each
+        general t/2, by 2(g-1).  So the exceptions at n >= 2 repeat with
+        period 4 in n, and n <= 5 settles them all."""
+        for g in (2, 3, 4):
+            for n in range(2, 401):
+                p = cp(g, n)
+                assert hirschowitz_bound(p) == -(-(g - 1) * (2 * n + 1) // 4)
+                q = cp(g, n + 4)
+                assert [hirschowitz_bound(q) - t // 2 for t, _ in general_t_values(q)] \
+                    == [hirschowitz_bound(p) - t // 2 for t, _ in general_t_values(p)]
+        assert set(hirschowitz_exceptions(4, 5)) == family_oracle(4, 5)
+        # the families repeat the same way: (g, n, t) -> (g, n+4, t+4(g-1))
+        fam = family_oracle(4, 9)
+        assert {(g, n + 4, t + 4 * (g - 1)) for g, n, t in fam if 2 <= n <= 5} \
+            == {x for x in fam if x[1] >= 6}
