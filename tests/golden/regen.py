@@ -1,15 +1,28 @@
-"""The CLI golden corpus: what `ortholag` prints and returns, case by case.
+"""The golden corpora: what `ortholag` prints and answers, case by case.
 
-Each case is one command line.  cli.json records, for each case in CASES,
-its argv, exit code, stdout and stderr as `cli.main` produces them in
+cli.json: each case is one command line.  It records, for each case in
+CASES, its argv, exit code, stdout and stderr as `cli.main` produces them in
 process, with COLUMNS=80 (argparse wraps help to the terminal width) and the
 repository root as the working directory (the file cases name paths under
-tests/golden/inputs).  tests/test_golden.py replays every case against it.
+tests/golden/inputs).
 
-    python tests/golden/regen.py           # rewrite cli.json from this tree
+witt.json: each case is one form, named by its "case" and given by its
+field and Gram matrix, with rationals written as in ortholag.jsonio.  It
+records the change of basis, block Gram matrix and Witt index of
+witt_decompose, or the type and message of its refusal.  The forms are one
+cycle of the benchmark's witt workload at seed 0 and its witt-refusals
+inputs at seed 1 (both from perfbench/workloads.py), six rational forms
+whose isotropy is known, and conjugated split forms over Q of dimension 3
+to 8.  Similarity cases give a "src" and a "dst" form over F_p in place of
+the Gram matrix and record the (lambda, x) of find_similarity.
+
+tests/test_golden.py replays every CLI case and every Witt case except the
+slow split forms of dimension 5 and up, which only --check replays.
+
+    python tests/golden/regen.py           # rewrite both corpora from this tree
     python tests/golden/regen.py --check   # exit 1 naming each stale case
 
-A change that alters a recorded output on purpose regenerates cli.json and
+A change that alters a recorded output on purpose regenerates the corpus and
 lists each changed case, with its reason, in CHANGES.md.
 """
 
@@ -17,12 +30,14 @@ import contextlib
 import io
 import json
 import os
+import random
 import shlex
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(os.path.dirname(HERE))
 CORPUS = os.path.join(HERE, "cli.json")
+WITT_CORPUS = os.path.join(HERE, "witt.json")
 INPUTS = "tests/golden/inputs"
 
 SPLIT4 = "[[1,0,0,0],[0,0,1,0]]"
@@ -371,25 +386,118 @@ def run(argv):
             "stderr": err.getvalue()}
 
 
-def load():
-    with open(CORPUS, encoding="utf-8") as fh:
+def record_id(record):
+    """A record's case name: its command line, or its "case" for a Witt case."""
+    return case_id(record["argv"]) if "argv" in record else record["case"]
+
+
+# rational diagonal forms whose isotropy is known: the first four have no
+# zero over Q, the last two have one (the smallest zero of the fifth has
+# y = 31,400; the sixth is isotropic by Meyer's theorem)
+PROVABLE = {
+    "x^2+y^2-3z^2": (1, 1, -3),
+    "3x^2+5y^2-7z^2": (3, 5, -7),
+    "x^2+y^2+z^2-7w^2": (1, 1, 1, -7),
+    "x^2+y^2-10007z^2": (1, 1, -10007),
+    "x^2+y^2-1000000009z^2": (1, 1, -1000000009),
+    "x1^2+...+x4^2-1000003x5^2": (1, 1, 1, 1, -1000003),
+}
+PROBE_DIMS, PROBE_FORMS = range(3, 9), 20
+SIMILARITY_PRIMES, SIMILARITY_PAIRS = (3, 5, 7, 11, 13, 17), 60
+_WITT_INPUTS = ("case", "field", "gram", "src", "dst")
+
+
+def _field(p):
+    return {"type": "Fp", "p": p} if p else {"type": "Q"}
+
+
+def _rows(rows):
+    """Rows of ints and Fractions, or a Matrix's rows of Scalars, as JSON."""
+    from ortholag.jsonio import rational_to_json
+    return [[rational_to_json(getattr(x, "value", x)) for x in r] for r in rows]
+
+
+def witt_cases():
+    """The input of each Witt case: its "case", "field" and "gram", or "src"
+    and "dst" for a similarity pair."""
+    bench = os.path.join(ROOT, "perfbench")
+    if bench not in sys.path:
+        sys.path.append(bench)
+    import workloads
+    cases = []
+
+    def form(case, p, gram):
+        cases.append({"case": case, "field": _field(p), "gram": _rows(gram)})
+
+    for name, seed in (("witt", 0), ("witt-refusals", 1)):
+        w = workloads.WORKLOADS[name](seed)
+        for i in range(len(w.cycle)):
+            inp = w.make(i)
+            form(f"{name} seed {seed} #{i}", inp["p"], inp["gram"])
+    for name, diag in PROVABLE.items():
+        form(name, None, [[d if i == j else 0 for j in range(len(diag))]
+                          for i, d in enumerate(diag)])
+    # the standard split form conjugated by integer matrices, entries in [-2, 2]
+    rng = random.Random(5)
+    for d in PROBE_DIMS:
+        for k in range(PROBE_FORMS):
+            b = workloads.random_invertible(rng, d)
+            form(f"probe dim {d} #{k}", None,
+                 workloads.conj(workloads.std_gram(d), b))
+    for p in SIMILARITY_PRIMES:
+        for k in range(SIMILARITY_PAIRS):
+            rng = random.Random(f"similarity:{p}:{k}")
+            src, dst = (workloads.random_fp_form(rng, p, 3, False)
+                        for _ in range(2))
+            cases.append({"case": f"similarity F_{p} #{k}", "field": _field(p),
+                          "src": _rows(src), "dst": _rows(dst)})
+    return cases
+
+
+def witt_run(case):
+    """The record of a Witt case (or of a record's input): the input, then
+    the answer, or the refusal's type and message."""
+    from ortholag.errors import OrtholagError
+    from ortholag.jsonio import gramspace_from_json, scalar_to_json
+    from ortholag.orthospace import find_similarity, witt_decompose
+    inp = {k: case[k] for k in _WITT_INPUTS if k in case}
+
+    def space(rows):
+        return gramspace_from_json({"field": inp["field"], "gram": rows})
+
+    try:
+        if "gram" in inp:
+            wd = witt_decompose(space(inp["gram"]))
+            out = {"change_of_basis": _rows(wd.change_of_basis.entries),
+                   "block_gram": _rows(wd.block_gram.entries),
+                   "witt_index": wd.witt_index}
+        else:
+            lam, x = find_similarity(space(inp["src"]), space(inp["dst"]))
+            out = {"lambda": scalar_to_json(lam), "x": _rows(x.entries)}
+    except OrtholagError as exc:
+        out = {"error": type(exc).__name__, "message": str(exc)}
+    return {**inp, **out}
+
+
+def load(path=CORPUS):
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
 
-def dump(records):
-    with open(CORPUS, "w", encoding="utf-8") as fh:
+def dump(records, path=CORPUS):
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(records, fh, indent=1, ensure_ascii=False)
         fh.write("\n")
 
 
-def stale(records):
+def stale(records, path=CORPUS):
     """The ids of the cases whose record differs from the corpus, or that the
     corpus lacks or no longer has a case for."""
     try:
-        old = {case_id(r["argv"]): r for r in load()}
+        old = {record_id(r): r for r in load(path)}
     except FileNotFoundError:
         old = {}
-    new = {case_id(r["argv"]): r for r in records}
+    new = {record_id(r): r for r in records}
     return [k for k in list(new) + [k for k in old if k not in new]
             if old.get(k) != new.get(k)]
 
@@ -399,20 +507,26 @@ def main(argv=None):
     if args not in ([], ["--check"]):
         print("usage: regen.py [--check]", file=sys.stderr)
         return 2
-    ids = [case_id(a) for a in CASES]
-    if len(set(ids)) != len(ids):
-        print("duplicate cases in CASES", file=sys.stderr)
-        return 2
-    records = [run(a) for a in CASES]
-    if args == ["--check"]:
-        bad = stale(records)
-        for k in bad:
-            print(f"stale: {k}")
-        print(f"{len(records)} cases, {len(bad)} stale")
-        return 1 if bad else 0
-    dump(records)
-    print(f"wrote {len(records)} cases to {os.path.relpath(CORPUS, ROOT)}")
-    return 0
+    corpora = ((CORPUS, [run(a) for a in CASES]),
+               (WITT_CORPUS, [witt_run(c) for c in witt_cases()]))
+    for path, records in corpora:
+        ids = [record_id(r) for r in records]
+        if len(set(ids)) != len(ids):
+            print(f"duplicate cases in {os.path.basename(path)}", file=sys.stderr)
+            return 2
+    bad = 0
+    for path, records in corpora:
+        name = os.path.relpath(path, ROOT)
+        if args == ["--check"]:
+            keys = stale(records, path)
+            for k in keys:
+                print(f"stale: {k}")
+            print(f"{name}: {len(records)} cases, {len(keys)} stale")
+            bad += len(keys)
+        else:
+            dump(records, path)
+            print(f"wrote {len(records)} cases to {name}")
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
