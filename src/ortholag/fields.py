@@ -5,8 +5,9 @@ context.  The raw value inside a Scalar is a stdlib Fraction over Q and an
 int reduced to [0, p) over F_p.  Field.p is the characteristic, 0 for Q.
 Field.raw coerces any accepted input to a raw value, so the linear algebra
 kernels in linalg run on raw values and make Scalars only for the Matrix or
-Subspace they return.  Characteristic 2 is rejected everywhere because the
-bilinear form machinery divides by 2.
+Subspace they return.  _inv is the one inverse of raw values, used by Scalar
+division and by every layer above.  Characteristic 2 is rejected everywhere
+because the bilinear form machinery divides by 2.
 """
 
 from fractions import Fraction
@@ -44,6 +45,17 @@ def _is_prime(n):
         else:
             return False
     return True
+
+
+def _inv(x, p):
+    """The inverse of a raw value: mod p over F_p, a Fraction over Q (p = 0)."""
+    if p:
+        if x % p == 0:
+            raise DivisionByZero(f"division by zero in F_{p}")
+        return pow(x, -1, p)
+    if x == 0:
+        raise DivisionByZero("division by zero in Q")
+    return 1 / x
 
 
 def _sqrt(a, p):
@@ -104,9 +116,6 @@ class Field:
     def _canon(self, value):
         raise NotImplementedError
 
-    def _inv(self, value):
-        raise NotImplementedError
-
 
 class Rationals(Field):
     """The field of rational numbers, characteristic 0."""
@@ -119,11 +128,6 @@ class Rationals(Field):
         if isinstance(value, (int, Fraction)):
             return Fraction(value)
         raise TypeError(f"cannot coerce {value!r} into Q")
-
-    def _inv(self, value):
-        if value == 0:
-            raise DivisionByZero("division by zero in Q")
-        return 1 / value
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -159,15 +163,6 @@ class PrimeField(Field):
         if isinstance(value, int):
             return value % self.p
         raise TypeError(f"cannot coerce {value!r} into F_{self.p}")
-
-    def _inv(self, value):
-        if value % self.p == 0:
-            raise DivisionByZero(f"division by zero in F_{self.p}")
-        return pow(value, -1, self.p)
-
-    def elements(self):
-        """All field elements as Scalars, in the order 0, 1, ..., p-1."""
-        return [Scalar(self, v) for v in range(self.p)]
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -240,7 +235,7 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.field.scalar(self.value * self.field._inv(o.value))
+        return self.field.scalar(self.value * _inv(o.value, self.field.p))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)

@@ -14,7 +14,7 @@ from .errors import (AmbientMismatch, CapExceeded, DegenerateForm,
                      DegenerateRestriction, DimMismatch, NonSplitExtension,
                      NotLagrangian, NotSplit, OddAmbient, OutOfRange,
                      UnsupportedContext)
-from .fields import PrimeField
+from .fields import PrimeField, _inv
 from .linalg import (Matrix, Subspace, _dot, _matmul, _raw, _rref, _scale,
                      _units, _vec_mat)
 from .orthospace import (_binary_zero, _extension_scalar, _split_dim,
@@ -75,7 +75,7 @@ def _cells(gram, start, p):
     if d - start < 2:
         yield []
         return
-    half = pow(2, -1, p)
+    half = _inv(2, p)
     e = [1 if j == start else 0 for j in range(d)]
     for m_rows in _cells(gram, start + 2, p):
         yield [e] + m_rows

@@ -17,7 +17,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import AmbientMismatch, DimMismatch, MixedContexts
-from .fields import Scalar
+from .fields import Scalar, _inv
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -36,10 +36,6 @@ def _raw(m):
 def _identity(n, p):
     zero, one = _units(p)
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def _inv(x, p):
-    return pow(x, -1, p) if p else 1 / x
 
 
 def _combine(u, c, v, p):
@@ -183,7 +179,7 @@ class Matrix:
 
     @property
     def T(self):
-        return Matrix(self.field, list(zip(*self.entries))) if self.entries else self
+        return Matrix(self.field, list(zip(*self.entries)))
 
     def _check_field(self, other):
         if self.field != other.field:
@@ -322,14 +318,12 @@ class Subspace:
     def intersection(self, other):
         """Exact intersection via the kernel of the stacked transposed bases."""
         self._check_ambient(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero_subspace(self.field, self.ambient_dim)
         # the kernel of [A; B]^T holds the pairs (u, w) with u*A = -w*B,
-        # so the vectors u*A span the intersection
+        # so the vectors u*A span the intersection; the rows of A and of B
+        # are independent, so it is zero when either basis is empty
         p = self.field.p
         a, b = _raw(self.basis), _raw(other.basis)
-        rows = [ca + cb for ca, cb in zip(zip(*a), zip(*b))]
-        coeffs = _kernel(rows, len(a) + len(b), p)
+        coeffs = _kernel(list(zip(*(a + b))), len(a) + len(b), p)
         vecs = [_vec_mat(c[: len(a)], a, p) for c in coeffs]
         return Subspace._from_raw(self.field, self.ambient_dim, vecs)
 

@@ -16,10 +16,10 @@ from fractions import Fraction
 from .errors import (AmbientMismatch, DegenerateForm, DimMismatch,
                      IsotropicSearchExhausted, MixedContexts, NotSymmetric,
                      OutOfRange, UnsupportedContext, ZeroScalar)
-from .fields import PrimeField, _sqrt, is_square
-from .linalg import (Matrix, Subspace, _combine, _dot, _identity, _inv,
-                     _kernel, _matmul, _raw, _rref, _scale, _units, _vec_mat,
-                     dot, vec_mat)
+from .fields import PrimeField, _inv, _sqrt
+from .linalg import (Matrix, Subspace, _combine, _dot, _identity, _kernel,
+                     _matmul, _raw, _rref, _scale, _units, _vec_mat, dot,
+                     vec_mat)
 
 # safety valves for the rational isotropic vector search
 DEFAULT_HEIGHT_BOUND = 50
@@ -90,8 +90,6 @@ def orthogonal_complement(space, s):
         raise DegenerateForm("orthogonal complement needs a nondegenerate form")
     if s.ambient_dim != space.dim:
         raise AmbientMismatch("subspace ambient differs from space dimension")
-    if s.dim == 0:
-        return Subspace.full(space.field, space.dim)
     field, p = space.field, space.field.p
     ker = _kernel(_matmul(_raw(s.basis), _raw(space.gram), p), space.dim, p)
     return Subspace(field, space.dim, Matrix._from_raw(field, ker))
@@ -114,7 +112,11 @@ def _gram_on(rows, g, p):
 
 
 def _diagonalize(gram, p):
-    """Raw rows P with P*gram*P.T diagonal.  Returns (P, diagonal entries)."""
+    """Raw rows P with P*gram*P.T diagonal.  Returns (P, diagonal entries).
+
+    gram must be nondegenerate, so every diagonal entry is nonzero and a
+    block of isotropic vectors always has a pairing to borrow.
+    """
     k = len(gram)
     rows = _identity(k, p)
 
@@ -125,13 +127,9 @@ def _diagonalize(gram, p):
         j = next((j for j in range(i, k) if bil(rows[j], rows[j])), None)
         if j is None:
             # all remaining vectors isotropic; borrow an off-diagonal pairing
-            pair = next(((a, b) for a in range(i, k) for b in range(a + 1, k)
-                         if bil(rows[a], rows[b])), None)
-            if pair is None:
-                break  # remaining block is the radical
-            a, b = pair
-            rows[a] = _combine(rows[a], 1, rows[b], p)
-            j = a
+            j, b = next((a, b) for a in range(i, k) for b in range(a + 1, k)
+                        if bil(rows[a], rows[b]))
+            rows[j] = _combine(rows[j], 1, rows[b], p)
         rows[i], rows[j] = rows[j], rows[i]
         inv = _inv(bil(rows[i], rows[i]), p)
         for l in range(i + 1, k):
@@ -161,9 +159,10 @@ def _binary_zero(d1, d2, p):
 def _isotropic_in_diagonal(field, diag, height_bound):
     """A nonzero isotropic raw coefficient list for diag(d_1..d_k), or None.
 
-    None is only returned when anisotropy is certain: dimension at most one,
-    a binary form without a zero (decided exactly by _binary_zero), or a
-    definite form over Q.  Over Q an indefinite form of dimension k >= 3 is
+    Every d_i must be nonzero: the form is nondegenerate.  None is only
+    returned when anisotropy is certain: dimension at most one, a binary
+    form without a zero (decided exactly by _binary_zero), or a definite
+    form over Q.  Over Q an indefinite form of dimension k >= 3 is
     searched by increasing coordinate height h, and IsotropicSearchExhausted
     is raised when height_bound runs out.  The diagonal is scaled to
     integers, and height h costs (2h+1)^(k-1) integer prefix sums: each
@@ -174,10 +173,6 @@ def _isotropic_in_diagonal(field, diag, height_bound):
     candidates of height h that order would test up to it.
     """
     k, p = len(diag), field.p
-    zero, one = _units(p)
-    for i, d in enumerate(diag):
-        if not d:  # radical vector, trivially isotropic
-            return [one if j == i else zero for j in range(k)]
     if k <= 1:
         return None
     if k == 2:
@@ -383,11 +378,14 @@ def mumford_sym2_form(field):
 
 
 def find_similarity(src, dst):
-    """Search for (lam, b) with b.T * src.gram * b == lam * dst.gram.
+    """A similarity (lam, x): x.T * src.gram * x == lam * dst.gram.
 
     Both spaces must be nondegenerate of dimension 3 over the same prime
-    field.  The search runs over candidate scale factors in ascending order;
-    for split three dimensional forms it always succeeds.
+    field.  Such a form is isotropic, so its Witt decomposition is a
+    hyperbolic plane plus a line <a> for src and <b> for dst, and x is built
+    from a root of lam*b/a.  lam is the least in 1..p-1 that makes lam*b/a a
+    square: F_p* has two square classes, so it is 1 when b/a is a square and
+    otherwise the least nonsquare mod p.
     """
     if src.field != dst.field:
         raise MixedContexts("spaces over different fields")
@@ -397,21 +395,13 @@ def find_similarity(src, dst):
         raise DimMismatch("similarity search is implemented for dimension 3")
     if not (src.nondegenerate and dst.nondegenerate):
         raise DegenerateForm("similarity search needs nondegenerate forms")
-    field = src.field
+    field, p = src.field, src.field.p
     ws, wd = witt_decompose(src), witt_decompose(dst)
-    if ws.witt_index != 1 or wd.witt_index != 1:
-        return None
-    a = ws.block_gram[2, 2]
-    b_val = wd.block_gram[2, 2]
-    bd_inv = wd.change_of_basis.inverse()
-    for lv in range(1, field.p):
-        lam = field.scalar(lv)
-        ok, root = is_square(lam * b_val / a)
-        if not ok:
-            continue
-        c = Matrix.diagonal(field, [lam, field.one, root])
-        x = ws.change_of_basis * c * bd_inv
-        if x.T * src.gram * x != lam * dst.gram:
-            raise AssertionError("internal error: similarity construction")
-        return lam, x
-    return None
+    t = wd.block_gram[2, 2].value * _inv(ws.block_gram[2, 2].value, p) % p
+    nonsquare = next(v for v in range(2, p) if _sqrt(v, p) is None)
+    lam = field.scalar(1 if _sqrt(t, p) is not None else nonsquare)
+    c = Matrix.diagonal(field, [lam, 1, _sqrt(lam.value * t, p)])
+    x = ws.change_of_basis * c * wd.change_of_basis.inverse()
+    if x.T * src.gram * x != lam * dst.gram:
+        raise AssertionError("internal error: similarity construction")
+    return lam, x

@@ -45,6 +45,16 @@ FAULTS = [
     # a scaled row left unreduced mod p
     ("linalg.py", "return [c * x % p for x in v]", "return [c * x for x in v]",
      ["tests/test_linalg.py", "tests/test_kernel.py"]),
+    # the height search charging 1, not 2, for a prefix below the shell
+    ("orthospace.py", "2 * h + 1 if shell else 2", "2 * h + 1 if shell else 1",
+     ["tests/test_orthospace.py"]),
+    # a zero inverted over Q without the typed refusal
+    ("fields.py", '    if x == 0:\n        raise DivisionByZero("division by zero in Q")\n',
+     "", ["tests/test_fields.py"]),
+    # 2 taken as the least nonsquare, which it is not when 2 is a square
+    # mod p (p = 7, 17)
+    ("orthospace.py", "next(v for v in range(2, p) if _sqrt(v, p) is None)",
+     "2", ["tests/test_orthospace.py", "tests/test_golden.py"]),
 ]
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from ortholag import (GF, QQ, DivisionByZero, MixedContexts, Scalar,
                       UnsupportedContext, ZeroScalar, is_square)
-from ortholag.fields import _is_prime, _sqrt
+from ortholag.fields import _inv, _is_prime, _sqrt
 
 F3 = GF(3)
 F5 = GF(5)
@@ -112,6 +112,14 @@ class TestArithmetic:
             F5.one / F5.zero
         with pytest.raises(DivisionByZero):
             QQ.one / QQ.zero
+
+    def test_raw_inverse(self):
+        assert _inv(3, 7) == 5 and _inv(-1, 5) == 4
+        assert _inv(Fraction(-2, 3), 0) == Fraction(-3, 2)
+        with pytest.raises(DivisionByZero, match="^division by zero in F_5$"):
+            _inv(10, 5)
+        with pytest.raises(DivisionByZero, match="^division by zero in Q$"):
+            _inv(Fraction(0), 0)
 
     def test_division_by_zero_is_zero_division_error(self):
         assert issubclass(DivisionByZero, ZeroDivisionError)

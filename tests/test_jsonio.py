@@ -116,6 +116,11 @@ class TestCompositeTypes:
         back = liftpair_from_json(F5, obj)
         assert back == pair
 
+    @pytest.mark.parametrize("obj", [[1, 2], "plus", None])
+    def test_liftpair_needs_an_object(self, obj):
+        with pytest.raises(MalformedInput, match="expected a JSON object"):
+            liftpair_from_json(F5, obj)
+
     def test_stratum_row_shape(self):
         row = stratum_row(CurveParams(g=3, n=2), 8)
         obj = stratum_row_to_json(row)

@@ -7,6 +7,7 @@ import pytest
 
 from ortholag import (GF, QQ, AmbientMismatch, DimMismatch, Matrix,
                       MixedContexts, Subspace, canonical_basis)
+from ortholag.linalg import dot
 
 import oracles
 
@@ -73,6 +74,18 @@ class TestMatrixBasics:
             Matrix(QQ, [[1, 2]]) + Matrix(QQ, [[1], [2]])
         with pytest.raises(DimMismatch):
             Matrix(QQ, [[1, 2]]) * Matrix(QQ, [[1, 2]])
+
+    def test_repr(self):
+        assert repr(Matrix(QQ, [[1, "1/2"], [0, -3]])) == "Matrix[1 1/2; 0 -3]"
+        assert repr(Matrix(F5, [[7, 4]])) == "Matrix[2 4]"
+        assert repr(Matrix(F3, [])) == "Matrix[]"
+
+    def test_transpose_of_empty(self):
+        assert Matrix(QQ, []).T == Matrix(QQ, [])
+
+    def test_dot_of_unequal_lengths_raises(self):
+        with pytest.raises(DimMismatch):
+            dot((F3.one,), (F3.one, F3.one))
 
     def test_immutable_and_hashable(self):
         m = Matrix(F3, [[1]])
@@ -215,6 +228,15 @@ class TestSubspaceOperations:
         assert (diag & anti).dim == 0
         assert (diag + anti) == Subspace.full(QQ, 2)
 
+    @pytest.mark.parametrize("field", [F3, QQ])
+    def test_intersection_with_zero(self, field):
+        z = Subspace.zero_subspace(field, 3)
+        a = Subspace.span(field, 3, [[1, 2, 0], [0, 1, 1]])
+        assert (a & z) == (z & a) == (z & z) == z
+        assert (Subspace.full(field, 3) & z) == z
+        z0 = Subspace.zero_subspace(field, 0)
+        assert (z0 & Subspace.full(field, 0)) == z0
+
     def test_sum_with_zero_is_identity(self):
         a = Subspace.span(F3, 3, [[1, 2, 0]])
         assert a + Subspace.zero_subspace(F3, 3) == a
@@ -273,6 +295,13 @@ class TestSubspaceOperations:
         assert z.coordinates([0, 0, 0]) == ()
         with pytest.raises(AmbientMismatch):
             z.coordinates([1, 0, 0])
+
+    def test_coordinates_wrong_length_raises(self):
+        s = Subspace.span(F5, 3, [[1, 0, 2]])
+        with pytest.raises(AmbientMismatch):
+            s.coordinates([1, 0])
+        with pytest.raises(AmbientMismatch):
+            Subspace.zero_subspace(F5, 3).coordinates([0, 0, 0, 0])
 
     def test_coordinates_outside_raises(self):
         s = Subspace.span(QQ, 3, [[1, 0, 0]])

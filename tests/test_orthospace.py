@@ -46,6 +46,23 @@ def int_rows(mat):
     return tuple(tuple(x.value for x in row) for row in mat.entries)
 
 
+def det3(g, p):
+    return (g[0][0] * (g[1][1] * g[2][2] - g[1][2] * g[2][1])
+            - g[0][1] * (g[1][0] * g[2][2] - g[1][2] * g[2][0])
+            + g[0][2] * (g[1][0] * g[2][1] - g[1][1] * g[2][0])) % p
+
+
+def random_form3(rng, p):
+    """A random nondegenerate symmetric 3x3 matrix mod p."""
+    while True:
+        g = [[0] * 3 for _ in range(3)]
+        for i in range(3):
+            for j in range(i, 3):
+                g[i][j] = g[j][i] = rng.randrange(p)
+        if det3(g, p):
+            return g
+
+
 class TestGramSpace:
     def test_validation(self):
         with pytest.raises(DimMismatch):
@@ -81,6 +98,14 @@ class TestGramSpace:
         with pytest.raises(AmbientMismatch):
             GramSpace(F3, H).restrict(Subspace.full(F3, 3))
 
+    def test_equality_hash_and_repr(self):
+        a, b = GramSpace(F3, H), GramSpace(F3, [[3, 4], [1, 0]])
+        assert a == b and hash(a) == hash(b)
+        assert a != GramSpace(F5, H) and a != GramSpace(F3, [[1, 0], [0, 1]])
+        assert a != H
+        assert repr(a) == "GramSpace(dim=2 over F_3)"
+        assert repr(GramSpace(QQ, [])) == "GramSpace(dim=0 over Q)"
+
 
 class TestOrthogonalComplement:
     def test_known_example(self):
@@ -98,6 +123,18 @@ class TestOrthogonalComplement:
         s = GramSpace(F3, H)
         assert orthogonal_complement(
             s, Subspace.zero_subspace(F3, 2)) == Subspace.full(F3, 2)
+
+    @pytest.mark.parametrize("field", [F5, QQ])
+    @pytest.mark.parametrize("gram", [[], [[2]], block_diag(H, [[-1]])])
+    def test_complement_of_zero_is_full(self, field, gram):
+        space = GramSpace(field, gram)
+        zero = Subspace.zero_subspace(field, space.dim)
+        assert orthogonal_complement(space, zero) == Subspace.full(
+            field, space.dim)
+
+    def test_ambient_mismatch(self):
+        with pytest.raises(AmbientMismatch):
+            orthogonal_complement(GramSpace(F3, H), Subspace.full(F3, 3))
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_dimension_law_involution_and_oracle(self, p):
@@ -176,6 +213,13 @@ class TestWittDecomposition:
             assert space.qvalue(rows[i]) == F3.zero
             assert space.qvalue(rows[j]) == F3.zero
             assert space.bilinear(rows[i], rows[j]) == F3.one
+
+    def test_repr(self):
+        assert repr(witt_decompose(standard_form(F3, 1, "odd"))) == (
+            "WittDecomposition(index=1, anisotropic_dim=1)")
+        # -1 is not a square mod 3, so x^2 + y^2 has no zero
+        assert repr(witt_decompose(GramSpace(F3, [[1, 0], [0, 1]]))) == (
+            "WittDecomposition(index=0, anisotropic_dim=2)")
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateForm):
@@ -486,6 +530,25 @@ class TestFindSimilarity:
             assert res is not None
             lam, x = res
             assert x.T * base.gram * x == lam * other.gram
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17])
+    def test_factor_is_the_least_that_makes_a_square(self, p):
+        # oracle: the first lam in 1..p-1 with lam * det(dst) / det(src) a
+        # square (Euler's criterion); with the hyperbolic plane's det -1 it
+        # is in the square class of lam * b / a for the lines <a>, <b>
+        rng = random.Random(p)
+        field, seen = GF(p), set()
+        for _ in range(16):
+            src, dst = random_form3(rng, p), random_form3(rng, p)
+            t = det3(dst, p) * pow(det3(src, p), -1, p) % p
+            want = next(v for v in range(1, p)
+                        if pow(v * t, (p - 1) // 2, p) == 1)
+            s, d = GramSpace(field, src), GramSpace(field, dst)
+            lam, x = find_similarity(s, d)
+            assert lam == field.scalar(want)
+            assert x.T * s.gram * x == lam * d.gram
+            seen.add(want)
+        assert len(seen) == 2  # both square classes of b / a were drawn
 
     def test_validation(self):
         with pytest.raises(MixedContexts):

@@ -1,6 +1,7 @@
 """The built-in verification sweeps must all pass on small parameters."""
 
 import functools
+import inspect
 
 import pytest
 
@@ -95,3 +96,13 @@ def test_suite_options_are_the_signatures(monkeypatch):
         return SUITES["witt"](*args, **kwargs)
     monkeypatch.setitem(SUITES, "witt", traced)
     assert suite_options("witt") == ("samples", "seed")
+
+
+def test_cap_defaults_are_the_enumeration_cap():
+    # the suites spell the default as a literal, so that `verify tables` and
+    # `verify exceptions` load no numeric layer (see test_imports.py)
+    from ortholag.lagrange import DEFAULT_ENUM_CAP
+    caps = {name: inspect.signature(fn).parameters["cap"].default
+            for name, fn in SUITES.items() if "cap" in suite_options(name)}
+    assert set(caps) == {"parity", "bijection", "two_to_one", "corank"}
+    assert set(caps.values()) == {DEFAULT_ENUM_CAP}
