@@ -50,9 +50,10 @@ def _is_prime(n):
 def _inv(x, p):
     """The inverse of a raw value: mod p over F_p, a Fraction over Q (p = 0)."""
     if p:
-        if x % p == 0:
-            raise DivisionByZero(f"division by zero in F_{p}")
-        return pow(x, -1, p)
+        try:
+            return pow(x, -1, p)
+        except ValueError:  # x is 0 mod p
+            raise DivisionByZero(f"division by zero in F_{p}") from None
     if x == 0:
         raise DivisionByZero("division by zero in Q")
     return 1 / x

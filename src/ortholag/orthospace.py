@@ -114,9 +114,7 @@ def _gram_on(rows, g, p):
 def _diagonalize(gram, p):
     """Raw rows P with P*gram*P.T diagonal.  Returns (P, diagonal entries).
 
-    gram must be nondegenerate, so every diagonal entry is nonzero and a
-    block of isotropic vectors always has a pairing to borrow.
-    """
+    gram must be nondegenerate, so there is always a pairing to borrow."""
     k = len(gram)
     rows = _identity(k, p)
 

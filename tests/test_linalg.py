@@ -52,6 +52,7 @@ class TestMatrixBasics:
         m = Matrix(QQ, [[1, 2, 3], [4, 5, 6]])
         assert m.T.entries == Matrix(QQ, [[1, 4], [2, 5], [3, 6]]).entries
         assert m.T.T == m
+        assert Matrix(QQ, []).T == Matrix(QQ, [])
 
     def test_arithmetic(self):
         a = Matrix(F5, [[1, 2], [3, 4]])
@@ -79,9 +80,6 @@ class TestMatrixBasics:
         assert repr(Matrix(QQ, [[1, "1/2"], [0, -3]])) == "Matrix[1 1/2; 0 -3]"
         assert repr(Matrix(F5, [[7, 4]])) == "Matrix[2 4]"
         assert repr(Matrix(F3, [])) == "Matrix[]"
-
-    def test_transpose_of_empty(self):
-        assert Matrix(QQ, []).T == Matrix(QQ, [])
 
     def test_dot_of_unequal_lengths_raises(self):
         with pytest.raises(DimMismatch):
