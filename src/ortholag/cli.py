@@ -17,7 +17,8 @@ refusals as the enumeration, without enumerating.
 import argparse
 import sys
 
-from .errors import MalformedInput, OrtholagError
+from .errors import (AmbientMismatch, MalformedInput, NotLagrangian,
+                     OrtholagError)
 
 # verify.SUITES in sorted order, named here so that building the parser
 # imports no suite
@@ -178,12 +179,13 @@ def _cmd_og(args):
     from .fields import GF
     from .jsonio import (gramspace_from_json, liftpair_to_json,
                          scalar_from_json, subspace_from_json, subspace_to_json)
-    from .lagrange import (DEFAULT_ENUM_CAP, _split_witt, component_of,
-                           enumerate_lagrangians, lagrangian_count,
-                           lift_odd_to_even)
-    from .orthospace import standard_form
+    from .lagrange import (DEFAULT_ENUM_CAP, _check_cap, _split_witt,
+                           component_of, enumerate_lagrangians,
+                           lagrangian_count, lift_odd_to_even)
+    from .orthospace import _split_dim, standard_form
     field = GF(args.q)
     if args.cmd == "enumerate":
+        cap = DEFAULT_ENUM_CAP if args.cap is None else args.cap
         if args.gram is not None or args.gram_file is not None:
             space = gramspace_from_json(_json_payload(
                 args.gram, args.gram_file, "Gram matrix", "gram",
@@ -191,8 +193,8 @@ def _cmd_og(args):
         else:
             if args.n is None:
                 raise OrtholagError("enumerate needs --n or --gram")
+            _check_cap(_split_dim(args.n, args.shape), cap)
             space = standard_form(field, args.n, args.shape)
-        cap = DEFAULT_ENUM_CAP if args.cap is None else args.cap
         if args.count_only:
             _split_witt(space, cap)
             n = space.dim // 2
@@ -208,18 +210,28 @@ def _cmd_og(args):
             for s in lag:
                 _print_json(subspace_to_json(s))
     elif args.cmd == "lift":
-        space = standard_form(field, args.n, "odd")
+        d = _split_dim(args.n, "odd")
         e = subspace_from_json(field, _json_payload(
-            args.e, args.e_file, "--e", "basis", ambient=space.dim))
-        pair = lift_odd_to_even(space, e, scalar_from_json(field, args.c))
+            args.e, args.e_file, "--e", "basis", ambient=d))
+        c = scalar_from_json(field, args.c)
+        # lift_odd_to_even's first refusals, made before the d^2 form is built
+        if e.ambient_dim != d:
+            raise AmbientMismatch(
+                "subspace ambient differs from space dimension")
+        if e.dim != args.n:
+            raise NotLagrangian("only Lagrangians lift")
+        pair = lift_odd_to_even(standard_form(field, args.n, "odd"), e, c)
         _print_json(liftpair_to_json(pair))
     else:
-        space = standard_form(field, args.n, "even")
+        d = _split_dim(args.n, "even")
         f = subspace_from_json(field, _json_payload(
-            args.e, args.e_file, "--e", "basis", ambient=space.dim))
+            args.e, args.e_file, "--e", "basis", ambient=d))
         ref = subspace_from_json(field, _json_payload(
-            args.ref, args.ref_file, "--ref", "basis", ambient=space.dim))
-        label = component_of(space, f, ref)
+            args.ref, args.ref_file, "--ref", "basis", ambient=d))
+        # component_of's first refusal; past it, f is as large as the form
+        if f.dim != args.n:
+            raise NotLagrangian(f"{f!r} is not Lagrangian here")
+        label = component_of(standard_form(field, args.n, "even"), f, ref)
         if args.json:
             _print_json({"label": label.label})
         else:

@@ -1,11 +1,13 @@
 """Exact scalar arithmetic over the rationals and over odd prime fields.
 
-A Field object is a context; a Scalar is an immutable value tagged with its
-context.  The raw value inside a Scalar is a stdlib Fraction over Q and an
-int reduced to [0, p) over F_p.  Field.p is the characteristic, 0 for Q.
-Field.raw coerces any accepted input to a raw value, so the linear algebra
-kernels in linalg run on raw values and make Scalars only for the Matrix or
-Subspace they return.  _inv is the one inverse of raw values, used by Scalar
+A Field object is a context, identified by its characteristic Field.p: 0
+for Q, an odd prime for F_p.  Equality, hashing, repr and coercion all read
+p, so Rationals and PrimeField only name and validate it.  A Scalar is an
+immutable value tagged with its context.  The raw value inside a Scalar is a
+stdlib Fraction over Q and an int reduced to [0, p) over F_p.  Field.raw
+coerces any accepted input to a raw value, so the linear algebra kernels in
+linalg run on raw values and make Scalars only for the Matrix or Subspace
+they return.  _inv is the one inverse of raw values, used by Scalar
 division and by every layer above.  Characteristic 2 is rejected everywhere
 because the bilinear form machinery divides by 2.
 """
@@ -88,7 +90,13 @@ def _sqrt(a, p):
 
 
 class Field:
-    """Abstract field context.  Instances compare by mathematical identity."""
+    """A field context, identified by its characteristic p (0 for Q)."""
+
+    p = 0
+
+    @property
+    def characteristic(self):
+        return self.p
 
     def scalar(self, value):
         """Coerce value (int, Fraction, str like '3/4', or Scalar) into this field."""
@@ -98,13 +106,22 @@ class Field:
 
     def raw(self, value):
         """Coerce value like scalar() does, but return the raw value."""
+        p = self.p
         if type(value) is int:
-            return value % self.p if self.p else Fraction(value)
+            return value % p if p else Fraction(value)
         if isinstance(value, Scalar):
             if value.field != self:
                 raise MixedContexts(f"scalar from {value.field} used in {self}")
             return value.value
-        return self._canon(value)
+        if isinstance(value, str):
+            value = Fraction(value)
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"cannot coerce {value!r} into {self}")
+        if not p:
+            return Fraction(value)
+        if value.denominator % p == 0:
+            raise DivisionByZero(f"denominator divisible by {p}")
+        return value.numerator * pow(value.denominator, -1, p) % p
 
     @property
     def zero(self):
@@ -114,30 +131,18 @@ class Field:
     def one(self):
         return self.scalar(1)
 
-    def _canon(self, value):
-        raise NotImplementedError
+    def __eq__(self, other):
+        return isinstance(other, Field) and other.p == self.p
+
+    def __hash__(self):
+        return hash(self.p)
+
+    def __repr__(self):
+        return f"F_{self.p}" if self.p else "Q"
 
 
 class Rationals(Field):
     """The field of rational numbers, characteristic 0."""
-
-    characteristic = p = 0
-
-    def _canon(self, value):
-        if isinstance(value, str):
-            value = Fraction(value)
-        if isinstance(value, (int, Fraction)):
-            return Fraction(value)
-        raise TypeError(f"cannot coerce {value!r} into Q")
-
-    def __eq__(self, other):
-        return isinstance(other, Rationals)
-
-    def __hash__(self):
-        return hash("Q")
-
-    def __repr__(self):
-        return "Q"
 
 
 class PrimeField(Field):
@@ -149,30 +154,6 @@ class PrimeField(Field):
         if p == 2:
             raise UnsupportedContext("characteristic 2 is not supported")
         self.p = p
-
-    @property
-    def characteristic(self):
-        return self.p
-
-    def _canon(self, value):
-        if isinstance(value, str):
-            value = Fraction(value)
-        if isinstance(value, Fraction):
-            if value.denominator % self.p == 0:
-                raise DivisionByZero(f"denominator divisible by {self.p}")
-            return value.numerator * pow(value.denominator, -1, self.p) % self.p
-        if isinstance(value, int):
-            return value % self.p
-        raise TypeError(f"cannot coerce {value!r} into F_{self.p}")
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("Fp", self.p))
-
-    def __repr__(self):
-        return f"F_{self.p}"
 
 
 QQ = Rationals()
@@ -276,7 +257,7 @@ def is_square(a):
     Returns (True, root) with the smaller of the two roots, or (False, None).
     Not defined over Q; raises UnsupportedContext there.
     """
-    if not isinstance(a.field, PrimeField):
+    if not a.field.p:
         raise UnsupportedContext("square testing is only supported over prime fields")
     if a.value % a.field.p == 0:
         raise ZeroScalar("squareness of zero is excluded")

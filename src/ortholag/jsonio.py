@@ -41,12 +41,10 @@ def _rows(obj, key):
 
 
 def field_to_json(field):
-    from .fields import PrimeField, Rationals
-    if isinstance(field, Rationals):
-        return {"type": "Q"}
-    if isinstance(field, PrimeField):
-        return {"type": "Fp", "p": field.p}
-    raise UnsupportedContext(f"unknown field {field!r}")
+    from .fields import Field
+    if not isinstance(field, Field):
+        raise UnsupportedContext(f"unknown field {field!r}")
+    return {"type": "Fp", "p": field.p} if field.p else {"type": "Q"}
 
 
 def field_from_json(obj):

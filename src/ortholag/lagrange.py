@@ -14,7 +14,7 @@ from .errors import (AmbientMismatch, CapExceeded, DegenerateForm,
                      DegenerateRestriction, DimMismatch, NonSplitExtension,
                      NotLagrangian, NotSplit, OddAmbient, OutOfRange,
                      UnsupportedContext)
-from .fields import PrimeField, _inv
+from .fields import _inv
 from .linalg import (Matrix, Subspace, _dot, _matmul, _raw, _rref, _scale,
                      _units, _vec_mat)
 from .orthospace import (_binary_zero, _extension_scalar, _split_dim,
@@ -106,17 +106,21 @@ def lagrangian_count(q, n, shape):
     return count
 
 
+def _check_cap(dim, cap):
+    """Refuse an enumeration in a dimension above the cap."""
+    if dim > cap:
+        raise CapExceeded(f"dimension {dim} exceeds the enumeration cap {cap}")
+
+
 def _split_witt(space, cap):
     """The Witt decomposition of a space whose Lagrangians may be enumerated.
 
     Refuses, in this order, a field that is not prime, a dimension above the
     cap, a degenerate form and a form that is not split.
     """
-    if not isinstance(space.field, PrimeField):
+    if not space.field.p:
         raise UnsupportedContext("enumeration is implemented over prime fields")
-    if space.dim > cap:
-        raise CapExceeded(
-            f"dimension {space.dim} exceeds the enumeration cap {cap}")
+    _check_cap(space.dim, cap)
     if not space.nondegenerate:
         raise DegenerateForm("enumeration needs a nondegenerate form")
     wd = witt_decompose(space)

@@ -16,10 +16,9 @@ from fractions import Fraction
 from .errors import (AmbientMismatch, DegenerateForm, DimMismatch,
                      IsotropicSearchExhausted, MixedContexts, NotSymmetric,
                      OutOfRange, UnsupportedContext, ZeroScalar)
-from .fields import PrimeField, _inv, _sqrt
+from .fields import _inv, _sqrt
 from .linalg import (Matrix, Subspace, _combine, _dot, _identity, _kernel,
-                     _matmul, _raw, _rref, _scale, _units, _vec_mat, dot,
-                     vec_mat)
+                     _matmul, _raw, _rref, _scale, _vec_mat, dot, vec_mat)
 
 # safety valves for the rational isotropic vector search
 DEFAULT_HEIGHT_BOUND = 50
@@ -281,18 +280,15 @@ def witt_decompose(space, height_bound=DEFAULT_HEIGHT_BOUND):
                          len(comp), p)
         comp = _rref([_vec_mat(c, comp, p) for c in coeffs], p)[0]
 
-    witt_index = len(pair_rows) // 2
-    aniso_gram = _gram_on(comp, g, p)
-    new_rows = pair_rows + comp
-    n, (zero, one) = len(new_rows), _units(p)
-    block = [[zero] * n for _ in range(n)]
-    for i in range(witt_index):
-        block[2 * i][2 * i + 1] = one
-        block[2 * i + 1][2 * i] = one
-    for i, row in enumerate(aniso_gram):
-        block[2 * witt_index + i][2 * witt_index:] = row
-    if _gram_on(new_rows, g, p) != block:
+    new_rows, h = pair_rows + comp, len(pair_rows)
+    block = _gram_on(new_rows, g, p)
+    # the certificate: the first h columns hold the hyperbolic pattern (a
+    # bool compares equal to 1 or 0), and so, as block is exactly
+    # symmetric, do the first h rows
+    if any(row[j] != (j == i ^ 1) for i, row in enumerate(block)
+           for j in range(h)):
         raise AssertionError("internal error: change of basis fails to block")
+    aniso_gram = [row[h:] for row in block[h:]]
     if p and len(comp) > 1:
         # over F_p the remainder is at most a plane, and a plane is
         # anisotropic iff -det is a nonsquare
@@ -301,7 +297,7 @@ def witt_decompose(space, height_bound=DEFAULT_HEIGHT_BOUND):
                                   p) is not None:
             raise AssertionError("internal error: anisotropic part has a zero")
     return WittDecomposition(
-        space, Matrix._from_raw(field, list(zip(*new_rows))), witt_index,
+        space, Matrix._from_raw(field, list(zip(*new_rows))), h // 2,
         GramSpace(field, Matrix._from_raw(field, aniso_gram)),
         Matrix._from_raw(field, block))
 
@@ -387,7 +383,7 @@ def find_similarity(src, dst):
     """
     if src.field != dst.field:
         raise MixedContexts("spaces over different fields")
-    if not isinstance(src.field, PrimeField):
+    if not src.field.p:
         raise UnsupportedContext("similarity search needs a prime field")
     if src.dim != 3 or dst.dim != 3:
         raise DimMismatch("similarity search is implemented for dimension 3")

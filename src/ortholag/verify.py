@@ -32,12 +32,21 @@ def intersection_parity_masks(lagrangians, n):
     return masks
 
 
+def _split_form(q, n, shape, cap):
+    """standard_form(GF(q), n, shape), refused first if its dimension is
+    above the enumeration cap, since the form has dim^2 entries."""
+    from .fields import GF
+    from .lagrange import _check_cap
+    from .orthospace import _split_dim, standard_form
+    field = GF(q)
+    _check_cap(_split_dim(n, shape), cap)
+    return standard_form(field, n, shape)
+
+
 def parity_suite(n=2, q=3, cap=8):
     """Component labels partition the even Lagrangians into two equal classes."""
-    from .fields import GF
     from .lagrange import component_of, enumerate_lagrangians
-    from .orthospace import standard_form
-    space = standard_form(GF(q), n, "even")
+    space = _split_form(q, n, "even", cap)
     lag = enumerate_lagrangians(space, cap=cap)
     ref = lag[0]
     labels = [component_of(space, f, ref).same for f in lag]
@@ -60,10 +69,9 @@ def _odd_family(n, q, c, cap):
     """The split space of dimension 2n+1 over F_q, its extension by c, and
     the Lagrangians of each: (odd, w, odds, evens).  The odd space's
     refusals come before the extension's."""
-    from .fields import GF
     from .lagrange import enumerate_lagrangians
-    from .orthospace import extend_by_scalar, standard_form
-    odd = standard_form(GF(q), n, "odd")
+    from .orthospace import extend_by_scalar
+    odd = _split_form(q, n, "odd", cap)
     odds = enumerate_lagrangians(odd, cap=cap)
     w = extend_by_scalar(odd, c)
     return odd, w, odds, enumerate_lagrangians(w, cap=cap)
@@ -122,10 +130,8 @@ def two_to_one_suite(n=1, q=3, c=-1, cap=8):
 
 def corank_suite(n=2, q=3, cap=8):
     """Complements of odd Lagrangians always meet in dimension r + 1."""
-    from .fields import GF
     from .lagrange import complement_corank_law, enumerate_lagrangians
-    from .orthospace import standard_form
-    odd = standard_form(GF(q), n, "odd")
+    odd = _split_form(q, n, "odd", cap)
     lag = enumerate_lagrangians(odd, cap=cap)
     bad = 0
     for a in lag:

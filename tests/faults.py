@@ -55,6 +55,16 @@ FAULTS = [
     # mod p (p = 7, 17)
     ("orthospace.py", "next(v for v in range(2, p) if _sqrt(v, p) is None)",
      "2", ["tests/test_orthospace.py", "tests/test_golden.py"]),
+    # every field equal to every other: F_3 == F_5 == Q
+    ("fields.py", "return isinstance(other, Field) and other.p == self.p",
+     "return isinstance(other, Field)", ["tests/test_fields.py"]),
+    # the Witt certificate asking for the identity, not hyperbolic pairs
+    ("orthospace.py", "(j == i ^ 1)", "(j == i)",
+     ["tests/test_orthospace.py"]),
+    # a Fraction with denominator divisible by p reaching pow unrefused
+    ("fields.py", "        if value.denominator % p == 0:\n"
+     '            raise DivisionByZero(f"denominator divisible by {p}")\n',
+     "", ["tests/test_fields.py"]),
 ]
 
 

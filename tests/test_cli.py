@@ -115,6 +115,55 @@ class TestOgCommands:
         assert counted == enumerated
         assert counted[0] == 1 and counted[2].startswith("error:")
 
+    @pytest.mark.parametrize("args,message", [
+        (("og", "enumerate", "--q", "3", "--n", "1000000"),
+         "dimension 2000000 exceeds the enumeration cap 8"),
+        (("og", "enumerate", "--q", "3", "--n", "1000000", "--count-only"),
+         "dimension 2000000 exceeds the enumeration cap 8"),
+        (("og", "enumerate", "--q", "3", "--n", "1000000", "--shape", "odd",
+          "--cap", "2000000"), "dimension 2000001 exceeds the enumeration "
+                               "cap 2000000"),
+        (("verify", "parity", "--n", "1000000"),
+         "dimension 2000000 exceeds the enumeration cap 8"),
+        (("verify", "corank", "--n", "1000000"),
+         "dimension 2000001 exceeds the enumeration cap 8"),
+        (("verify", "two_to_one", "--n", "1000000"),
+         "dimension 2000001 exceeds the enumeration cap 8"),
+        (("og", "verify", "bijection", "--n", "1000000"),
+         "dimension 2000001 exceeds the enumeration cap 8"),
+        (("og", "lift", "--q", "3", "--n", "1000000", "--c", "1",
+          "--e", "[[1,0,0]]"), "row length differs from ambient dimension"),
+        (("og", "lift", "--q", "3", "--n", "1000000", "--c", "1", "--e",
+          '{"ambient": 3, "basis": [[1,0,0]]}'),
+         "subspace ambient differs from space dimension"),
+        (("og", "lift", "--q", "3", "--n", "1000000", "--c", "1", "--e",
+          '{"ambient": 2000001, "basis": []}'), "only Lagrangians lift"),
+        (("og", "lift", "--q", "3", "--n", "1000000", "--c", "x",
+          "--e", '{"ambient": 3, "basis": [[1,0,0]]}'),
+         "Invalid literal for Fraction: 'x'"),
+        (("og", "component", "--q", "3", "--n", "1000000", "--e",
+          "[[1,0,0,0]]", "--ref", "[[1,0,0,0]]"),
+         "row length differs from ambient dimension"),
+        (("og", "component", "--q", "3", "--n", "1000000", "--e",
+          '{"ambient": 4, "basis": [[1,0,0,0]]}', "--ref", "[[1]]"),
+         "row length differs from ambient dimension"),
+        (("og", "component", "--q", "3", "--n", "1000000", "--e",
+          '{"ambient": 4, "basis": [[1,0,0,0]]}', "--ref",
+          '{"ambient": 4, "basis": []}'),
+         'Subspace<1 0 0 0> in dim 4 is not Lagrangian here'),
+    ])
+    def test_large_n_refused_before_the_form_is_built(self, capsys,
+                                                      monkeypatch, args,
+                                                      message):
+        # a form of dimension 2 * 10**6 would take minutes and gigabytes
+        from ortholag import orthospace
+
+        def refuse(*a):
+            raise AssertionError("standard_form called")
+
+        monkeypatch.setattr(orthospace, "standard_form", refuse)
+        assert run(capsys, *args) == (1, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("gram", ["[]", "[[1]]", "[[2]]"])
     def test_count_only_in_dimensions_0_and_1(self, capsys, gram):
         # the zero subspace is the one Lagrangian, which both modes report

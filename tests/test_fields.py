@@ -1,13 +1,17 @@
 """Exact scalar arithmetic: canonical forms, context rules, squareness."""
 
 import random
+import re
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from ortholag import (GF, QQ, DivisionByZero, MixedContexts, Scalar,
-                      UnsupportedContext, ZeroScalar, is_square)
+from ortholag import (GF, QQ, DivisionByZero, MixedContexts, PrimeField,
+                      Rationals, Scalar, UnsupportedContext, ZeroScalar,
+                      is_square)
 from ortholag.fields import _inv, _is_prime, _sqrt
 
 F3 = GF(3)
@@ -36,6 +40,18 @@ class TestContexts:
 
     def test_characteristic_exposed(self):
         assert GF(7).characteristic == 7
+
+    def test_identity_is_the_characteristic(self):
+        assert Rationals() == QQ and hash(Rationals()) == hash(QQ)
+        assert PrimeField(5) == GF(5) and hash(PrimeField(5)) == hash(GF(5))
+        assert GF(3) != GF(5) and not GF(3) == GF(5)
+        assert QQ != GF(3) and GF(3) != QQ
+        assert QQ != 0 and GF(3) != 3
+        assert len({QQ, Rationals(), GF(5), PrimeField(5), GF(7)}) == 3
+
+    def test_repr_and_characteristic_on_both_kinds(self):
+        assert (repr(QQ), QQ.characteristic, QQ.p) == ("Q", 0, 0)
+        assert (repr(GF(5)), GF(5).characteristic, GF(5).p) == ("F_5", 5, 5)
 
 
 class TestCanonicalForms:
@@ -73,6 +89,65 @@ class TestCanonicalForms:
         assert F5.scalar(12) == F5.scalar(2)
         assert hash(F5.scalar(12)) == hash(F5.scalar(2))
         assert QQ.scalar("2/4") == QQ.scalar(Fraction(1, 2))
+
+
+class TestRawMessages:
+    """Every refusal of Field.raw, on both kinds of field."""
+
+    @pytest.mark.parametrize("field,name", [(QQ, "Q"), (F5, "F_5")])
+    @pytest.mark.parametrize("value", [0.5, None, [1], 1j])
+    def test_uncoercible(self, field, name, value):
+        with pytest.raises(TypeError,
+                           match=f"^cannot coerce {re.escape(repr(value))} "
+                                 f"into {name}$"):
+            field.raw(value)
+
+    @pytest.mark.parametrize("value",
+                             [Fraction(1, 5), Fraction(2, 25), "3/10"])
+    def test_denominator_divisible_by_p(self, value):
+        with pytest.raises(DivisionByZero,
+                           match="^denominator divisible by 5$"):
+            F5.raw(value)
+
+    def test_foreign_scalar(self):
+        with pytest.raises(MixedContexts, match="^scalar from F_3 used in Q$"):
+            QQ.raw(F3.one)
+        with pytest.raises(MixedContexts, match="^scalar from Q used in F_5$"):
+            F5.raw(QQ.one)
+        with pytest.raises(MixedContexts,
+                           match="^scalar from F_3 used in F_5$"):
+            F5.raw(F3.one)
+
+    @pytest.mark.parametrize("field", [QQ, F5])
+    def test_unreadable_string(self, field):
+        with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+            field.raw("one half")
+
+    def test_bools_are_ints(self):
+        assert QQ.raw(True) == Fraction(1) and type(QQ.raw(True)) is Fraction
+        assert F5.raw(True) == 1 and type(F5.raw(True)) is int
+        assert F5.raw(False) == 0 and type(F5.raw(False)) is int
+
+
+_PRIMES = st.sampled_from([3, 5, 7, 11, 13, 101, 2 ** 31 - 1])
+_FRACTIONS = st.fractions(max_denominator=10 ** 6)
+_RATIONAL_INPUTS = st.one_of(st.integers(), _FRACTIONS).flatmap(
+    lambda x: st.sampled_from([x, str(x)]))
+
+
+@given(_PRIMES, _RATIONAL_INPUTS)
+def test_raw_is_num_times_inverse_den(p, x):
+    """GF(p).raw(x) is num * den^-1 mod p and QQ.raw(x) is Fraction(x)."""
+    q = Fraction(x)
+    assert QQ.raw(x) == q and type(QQ.raw(x)) is Fraction
+    if q.denominator % p == 0:
+        with pytest.raises(DivisionByZero):
+            GF(p).raw(x)
+        return
+    got = GF(p).raw(x)
+    assert type(got) is int and 0 <= got < p
+    assert got == q.numerator * pow(q.denominator, -1, p) % p
+    assert got * q.denominator % p == q.numerator % p
 
 
 class TestArithmetic:

@@ -220,6 +220,17 @@ class TestWittDecomposition:
         with pytest.raises(DegenerateForm):
             witt_decompose(GramSpace(F3, [[0]]))
 
+    @pytest.mark.parametrize("gram", [[[1, 0], [0, -1]],
+                                      [[1, 0, 0], [0, 1, 0], [0, 0, -1]]])
+    def test_certificate_catches_a_broken_partner(self, monkeypatch, gram):
+        # twice the inverse leaves f pairing 2 with e, not 1; on these
+        # diagonal forms over Q the rest of the decomposition is unchanged
+        inv = orthospace._inv
+        monkeypatch.setattr(orthospace, "_inv", lambda x, p: 2 * inv(x, p))
+        with pytest.raises(AssertionError, match="^internal error: change "
+                                                 "of basis fails to block$"):
+            witt_decompose(GramSpace(QQ, gram))
+
     @pytest.mark.parametrize("p", [3, 5])
     def test_random_sweep_against_oracle(self, p):
         for q, gram in oracles.random_symmetric_grams(40, seed=p, qs=(p,)):
