@@ -23,9 +23,8 @@ _EXPORTS = {
                "NonSplitExtension", "NotLagrangian", "NotSplit",
                "NotSymmetric", "OddAmbient", "OrtholagError", "OutOfRange",
                "UnsupportedContext", "ZeroScalar"),
-    "fields": ("fields", "GF", "QQ", "PrimeField", "Rationals", "Scalar",
-               "is_square"),
-    "linalg": ("linalg", "Matrix", "Subspace", "canonical_basis"),
+    "fields": ("fields", "GF", "QQ", "Scalar", "is_square"),
+    "linalg": ("linalg", "Matrix", "Subspace"),
     "orthospace": ("orthospace", "GramSpace", "WittDecomposition",
                    "extend_by_scalar", "find_similarity", "is_isotropic",
                    "isometry_check", "mumford_sym2_form",

@@ -179,7 +179,7 @@ def _cmd_og(args):
     from .fields import GF
     from .jsonio import (gramspace_from_json, liftpair_to_json,
                          scalar_from_json, subspace_from_json, subspace_to_json)
-    from .lagrange import (DEFAULT_ENUM_CAP, _check_cap, _split_witt,
+    from .lagrange import (DEFAULT_ENUM_CAP, _split_form, _split_witt,
                            component_of, enumerate_lagrangians,
                            lagrangian_count, lift_odd_to_even)
     from .orthospace import _split_dim, standard_form
@@ -193,8 +193,7 @@ def _cmd_og(args):
         else:
             if args.n is None:
                 raise OrtholagError("enumerate needs --n or --gram")
-            _check_cap(_split_dim(args.n, args.shape), cap)
-            space = standard_form(field, args.n, args.shape)
+            space = _split_form(field, args.n, args.shape, cap)
         if args.count_only:
             _split_witt(space, cap)
             n = space.dim // 2

@@ -1,15 +1,15 @@
 """Exact scalar arithmetic over the rationals and over odd prime fields.
 
-A Field object is a context, identified by its characteristic Field.p: 0
-for Q, an odd prime for F_p.  Equality, hashing, repr and coercion all read
-p, so Rationals and PrimeField only name and validate it.  A Scalar is an
-immutable value tagged with its context.  The raw value inside a Scalar is a
-stdlib Fraction over Q and an int reduced to [0, p) over F_p.  Field.raw
-coerces any accepted input to a raw value, so the linear algebra kernels in
-linalg run on raw values and make Scalars only for the Matrix or Subspace
-they return.  _inv is the one inverse of raw values, used by Scalar
-division and by every layer above.  Characteristic 2 is rejected everywhere
-because the bilinear form machinery divides by 2.
+There is one Field class, and a field context is its characteristic Field.p:
+QQ has p = 0, and GF(p) validates p and returns the context for F_p.
+Equality, hashing, repr and coercion all read p.  A Scalar is an immutable
+value tagged with its context.  The raw value inside a Scalar is a stdlib
+Fraction over Q and an int reduced to [0, p) over F_p.  Field.raw coerces
+any accepted input to a raw value, so the linear algebra kernels in linalg
+run on raw values and make Scalars only for the Matrix or Subspace they
+return.  _inv is the one inverse of raw values, used by Scalar division and
+by every layer above.  Characteristic 2 is refused because the bilinear form
+machinery divides by 2.
 """
 
 from fractions import Fraction
@@ -90,13 +90,13 @@ def _sqrt(a, p):
 
 
 class Field:
-    """A field context, identified by its characteristic p (0 for Q)."""
+    """A field context, identified by its characteristic p (0 for Q).
 
-    p = 0
+    Make contexts with QQ and GF(p), which validates p; Field(p) does not.
+    """
 
-    @property
-    def characteristic(self):
-        return self.p
+    def __init__(self, p=0):
+        self.p = p
 
     def scalar(self, value):
         """Coerce value (int, Fraction, str like '3/4', or Scalar) into this field."""
@@ -141,27 +141,16 @@ class Field:
         return f"F_{self.p}" if self.p else "Q"
 
 
-class Rationals(Field):
-    """The field of rational numbers, characteristic 0."""
-
-
-class PrimeField(Field):
-    """The field with p elements, p an odd prime."""
-
-    def __init__(self, p):
-        if not isinstance(p, int) or not _is_prime(p):
-            raise UnsupportedContext(f"{p} is not prime")
-        if p == 2:
-            raise UnsupportedContext("characteristic 2 is not supported")
-        self.p = p
-
-
-QQ = Rationals()
+QQ = Field()
 
 
 def GF(p):
-    """Prime field constructor, mirroring the usual computer algebra spelling."""
-    return PrimeField(p)
+    """The field with p elements, p an odd prime (the usual spelling)."""
+    if not isinstance(p, int) or not _is_prime(p):
+        raise UnsupportedContext(f"{p} is not prime")
+    if p == 2:
+        raise UnsupportedContext("characteristic 2 is not supported")
+    return Field(p)
 
 
 class Scalar:
@@ -241,11 +230,6 @@ class Scalar:
 
     def __bool__(self):
         return self.value != 0
-
-    @property
-    def key(self):
-        """Sort key; total order inside one field context."""
-        return self.value
 
     def __repr__(self):
         return f"{self.value}"

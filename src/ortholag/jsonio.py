@@ -110,11 +110,5 @@ def liftpair_to_json(pair):
             "minus": subspace_to_json(pair.minus_lift)}
 
 
-def liftpair_from_json(field, obj):
-    from .lagrange import LiftPair
-    return LiftPair(plus_lift=subspace_from_json(field, _get(obj, "plus")),
-                    minus_lift=subspace_from_json(field, _get(obj, "minus")))
-
-
 def stratum_row_to_json(row):
     return {**row._asdict(), "flags": list(row.flags)}

@@ -18,7 +18,8 @@ from .fields import _inv
 from .linalg import (Matrix, Subspace, _dot, _matmul, _raw, _rref, _scale,
                      _units, _vec_mat)
 from .orthospace import (_binary_zero, _extension_scalar, _split_dim,
-                         is_isotropic, orthogonal_complement, witt_decompose)
+                         is_isotropic, orthogonal_complement, standard_form,
+                         witt_decompose)
 
 DEFAULT_ENUM_CAP = 8
 
@@ -110,6 +111,13 @@ def _check_cap(dim, cap):
     """Refuse an enumeration in a dimension above the cap."""
     if dim > cap:
         raise CapExceeded(f"dimension {dim} exceeds the enumeration cap {cap}")
+
+
+def _split_form(field, n, shape, cap):
+    """standard_form(field, n, shape), refused first if its dimension is
+    above the enumeration cap, since the form has dim^2 entries."""
+    _check_cap(_split_dim(n, shape), cap)
+    return standard_form(field, n, shape)
 
 
 def _split_witt(space, cap):

@@ -1,16 +1,16 @@
 """Dense exact matrices and canonically presented subspaces.
 
-Matrices store Scalar entries as nested tuples, so they are immutable and
-hashable.  A Subspace is the row space of a reduced row echelon basis with
-zero rows dropped; two subspaces are equal iff those bases are identical,
-which makes structural equality coincide with mathematical equality.
+A Matrix holds Scalar entries as nested tuples, so it is immutable and
+hashable.  A Subspace is the row space of its reduced row echelon basis with
+zero rows dropped, so two subspaces are equal iff their bases are identical;
+Subspace.span is the one way to make one from arbitrary rows, and the zero
+subspace of F^d is Subspace.span(field, d, []).
 
-Elimination, kernels and the products inside them run in a private kernel
-(_rref, _kernel, _dot, _vec_mat, _matmul) on lists of raw values: ints in
-[0, p) over F_p, Fractions over Q, where p = field.p is 0.  The public
-methods unbox x.value on entry and make Scalars only for the Matrix or
-Subspace they return.  The Matrix operators and the public dot and vec_mat
-still work on Scalars.
+The work runs in a private kernel (_rref, _kernel, _dot, _vec_mat,
+_matmul) on lists of raw values: ints in [0, p) over F_p and Fractions over
+Q, where p = field.p is 0.  Public methods unbox x.value on entry and make
+Scalars only for the Matrix or Subspace they return.  The Matrix operators,
+dot and vec_mat are the boxed path and work on Scalars.
 """
 
 from fractions import Fraction
@@ -134,16 +134,6 @@ class Matrix:
         return m
 
     @classmethod
-    def identity(cls, field, n):
-        one, zero = field.one, field.zero
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, field, nrows, ncols):
-        z = field.zero
-        return cls(field, [[z] * ncols for _ in range(nrows)])
-
-    @classmethod
     def diagonal(cls, field, diag):
         diag = [field.scalar(d) for d in diag]
         z = field.zero
@@ -157,9 +147,6 @@ class Matrix:
     @property
     def ncols(self):
         return len(self.entries[0]) if self.entries else 0
-
-    def row(self, i):
-        return self.entries[i]
 
     def __getitem__(self, ij):
         i, j = ij
@@ -282,14 +269,6 @@ class Subspace:
         return cls(field, ambient_dim,
                    Matrix._from_raw(field, rows[: len(pivots)]))
 
-    @classmethod
-    def full(cls, field, ambient_dim):
-        return cls(field, ambient_dim, Matrix.identity(field, ambient_dim))
-
-    @classmethod
-    def zero_subspace(cls, field, ambient_dim):
-        return cls(field, ambient_dim, Matrix.zero(field, 0, ambient_dim))
-
     @property
     def dim(self):
         return self.basis.nrows
@@ -328,18 +307,6 @@ class Subspace:
         return Subspace._from_raw(self.field, self.ambient_dim, vecs)
 
     __and__ = intersection
-
-    def contains_vector(self, v):
-        v = tuple(self.field.scalar(x) for x in v)
-        if len(v) != self.ambient_dim:
-            raise AmbientMismatch("vector length differs from ambient dimension")
-        probe = Subspace.span(self.field, self.ambient_dim,
-                              list(self.basis.entries) + [v])
-        return probe.dim == self.dim
-
-    def contains(self, other):
-        self._check_ambient(other)
-        return self.sum(other).dim == self.dim
 
     def coordinates(self, v):
         """Coefficients of v in the canonical basis (v must lie in the subspace)."""
@@ -380,8 +347,3 @@ class Subspace:
     def __repr__(self):
         rows = "; ".join(" ".join(repr(x) for x in r) for r in self.basis.entries)
         return f"Subspace<{rows}> in dim {self.ambient_dim}"
-
-
-def canonical_basis(field, ambient_dim, rows):
-    """Reduce spanning rows to the canonical subspace presentation."""
-    return Subspace.span(field, ambient_dim, rows)

@@ -89,6 +89,8 @@ def orthogonal_complement(space, s):
         raise DegenerateForm("orthogonal complement needs a nondegenerate form")
     if s.ambient_dim != space.dim:
         raise AmbientMismatch("subspace ambient differs from space dimension")
+    if s.field != space.field:
+        raise MixedContexts("subspace and space over different fields")
     field, p = space.field, space.field.p
     ker = _kernel(_matmul(_raw(s.basis), _raw(space.gram), p), space.dim, p)
     return Subspace(field, space.dim, Matrix._from_raw(field, ker))

@@ -32,21 +32,11 @@ def intersection_parity_masks(lagrangians, n):
     return masks
 
 
-def _split_form(q, n, shape, cap):
-    """standard_form(GF(q), n, shape), refused first if its dimension is
-    above the enumeration cap, since the form has dim^2 entries."""
-    from .fields import GF
-    from .lagrange import _check_cap
-    from .orthospace import _split_dim, standard_form
-    field = GF(q)
-    _check_cap(_split_dim(n, shape), cap)
-    return standard_form(field, n, shape)
-
-
 def parity_suite(n=2, q=3, cap=8):
     """Component labels partition the even Lagrangians into two equal classes."""
-    from .lagrange import component_of, enumerate_lagrangians
-    space = _split_form(q, n, "even", cap)
+    from .fields import GF
+    from .lagrange import _split_form, component_of, enumerate_lagrangians
+    space = _split_form(GF(q), n, "even", cap)
     lag = enumerate_lagrangians(space, cap=cap)
     ref = lag[0]
     labels = [component_of(space, f, ref).same for f in lag]
@@ -69,9 +59,10 @@ def _odd_family(n, q, c, cap):
     """The split space of dimension 2n+1 over F_q, its extension by c, and
     the Lagrangians of each: (odd, w, odds, evens).  The odd space's
     refusals come before the extension's."""
-    from .lagrange import enumerate_lagrangians
+    from .fields import GF
+    from .lagrange import _split_form, enumerate_lagrangians
     from .orthospace import extend_by_scalar
-    odd = _split_form(q, n, "odd", cap)
+    odd = _split_form(GF(q), n, "odd", cap)
     odds = enumerate_lagrangians(odd, cap=cap)
     w = extend_by_scalar(odd, c)
     return odd, w, odds, enumerate_lagrangians(w, cap=cap)
@@ -130,8 +121,10 @@ def two_to_one_suite(n=1, q=3, c=-1, cap=8):
 
 def corank_suite(n=2, q=3, cap=8):
     """Complements of odd Lagrangians always meet in dimension r + 1."""
-    from .lagrange import complement_corank_law, enumerate_lagrangians
-    odd = _split_form(q, n, "odd", cap)
+    from .fields import GF
+    from .lagrange import (_split_form, complement_corank_law,
+                           enumerate_lagrangians)
+    odd = _split_form(GF(q), n, "odd", cap)
     lag = enumerate_lagrangians(odd, cap=cap)
     bad = 0
     for a in lag:
@@ -289,10 +282,6 @@ SUITES = {
     "tables": tables_suite,
     "exceptions": exceptions_suite,
 }
-
-
-def run_suite(name, **kwargs):
-    return SUITES[name](**kwargs)
 
 
 def suite_options(name):

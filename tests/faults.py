@@ -65,6 +65,14 @@ FAULTS = [
     ("fields.py", "        if value.denominator % p == 0:\n"
      '            raise DivisionByZero(f"denominator divisible by {p}")\n',
      "", ["tests/test_fields.py"]),
+    # a subspace over another field reaching the kernel of a space's form
+    ("orthospace.py", "    if s.field != space.field:\n"
+     '        raise MixedContexts("subspace and space over different fields")\n',
+     "", ["tests/test_orthospace.py"]),
+    # GF(2) accepted, though the forms divide by 2
+    ("fields.py", "    if p == 2:\n"
+     '        raise UnsupportedContext("characteristic 2 is not supported")\n',
+     "", ["tests/test_fields.py"]),
 ]
 
 

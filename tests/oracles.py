@@ -15,6 +15,11 @@ import numpy as np
 
 # ---------------------------------------------------------------- F_p linear algebra
 
+def identity_rows(n):
+    """The rows of the n x n identity matrix, as plain ints."""
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def rref_mod_p(rows, p):
     """Reduced row echelon form over F_p: (canonical rows, pivot columns)."""
     m = [[x % p for x in row] for row in rows]

@@ -156,12 +156,13 @@ class TestOgCommands:
                                                       monkeypatch, args,
                                                       message):
         # a form of dimension 2 * 10**6 would take minutes and gigabytes
-        from ortholag import orthospace
+        from ortholag import lagrange, orthospace
 
         def refuse(*a):
             raise AssertionError("standard_form called")
 
-        monkeypatch.setattr(orthospace, "standard_form", refuse)
+        for module in (orthospace, lagrange):
+            monkeypatch.setattr(module, "standard_form", refuse)
         assert run(capsys, *args) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("gram", ["[]", "[[1]]", "[[2]]"])

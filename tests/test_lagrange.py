@@ -103,7 +103,7 @@ class TestEnumeration:
 
     def test_nonstandard_split_gram(self):
         # identity of rank 4 over F_3 has square discriminant, hence split
-        space = GramSpace(F3, Matrix.identity(F3, 4))
+        space = GramSpace(F3, Matrix.diagonal(F3, [1] * 4))
         got = enumerate_lagrangians(space)
         assert len(got) == 8
         assert {int_rows(s) for s in got} == oracles.lagrangian_bases(
@@ -173,7 +173,7 @@ class TestIsLagrangianAndTangent:
 
     def test_degenerate_space(self):
         with pytest.raises(DegenerateForm):
-            is_lagrangian(GramSpace(F3, [[0]]), Subspace.zero_subspace(F3, 1))
+            is_lagrangian(GramSpace(F3, [[0]]), Subspace.span(F3, 1, []))
 
     def test_tangent_dim(self):
         assert og_tangent_dim(1) == 1
@@ -402,13 +402,14 @@ class TestRestriction:
         good_embed = Subspace.span(F3, 4, [[1, 0, 0, 0], [0, 1, 0, 0],
                                            [0, 0, 1, 0]])
         f = enumerate_lagrangians(even)[0]
+        full3 = Subspace.span(F3, 3, oracles.identity_rows(3))
+        full4 = Subspace.span(F3, 4, oracles.identity_rows(4))
         with pytest.raises(OddAmbient):
-            restrict_even_to_odd(odd, Subspace.full(F3, 3),
-                                 Subspace.span(F3, 3, [[1, 0, 0]]))
+            restrict_even_to_odd(odd, full3, Subspace.span(F3, 3, [[1, 0, 0]]))
         with pytest.raises(AmbientMismatch):
-            restrict_even_to_odd(even, Subspace.full(F3, 3), f)
+            restrict_even_to_odd(even, full3, f)
         with pytest.raises(DimMismatch):
-            restrict_even_to_odd(even, Subspace.full(F3, 4), f)
+            restrict_even_to_odd(even, full4, f)
         with pytest.raises(NotLagrangian):
             restrict_even_to_odd(even, good_embed,
                                  Subspace.span(F3, 4, [[1, 0, 0, 0],
@@ -420,7 +421,7 @@ class TestFlip:
         w = extend_by_scalar(standard_form(F5, 1, "odd"), 2)
         flip = flip_automorphism(w)
         assert isometry_check(w, w, flip)
-        assert flip * flip == Matrix.identity(F5, 4)
+        assert flip * flip == Matrix.diagonal(F5, [1] * 4)
 
     def test_rejects_coupled_last_vector(self):
         # a typed domain error that is still a ValueError, also for dim 0

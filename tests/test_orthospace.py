@@ -92,11 +92,12 @@ class TestGramSpace:
 
     def test_restrict_zero_subspace(self):
         s = GramSpace(F3, H)
-        assert s.restrict(Subspace.zero_subspace(F3, 2)).dim == 0
+        assert s.restrict(Subspace.span(F3, 2, [])).dim == 0
 
     def test_restrict_ambient_mismatch(self):
         with pytest.raises(AmbientMismatch):
-            GramSpace(F3, H).restrict(Subspace.full(F3, 3))
+            GramSpace(F3, H).restrict(
+                Subspace.span(F3, 3, oracles.identity_rows(3)))
 
     def test_equality_hash_and_repr(self):
         a, b = GramSpace(F3, H), GramSpace(F3, [[3, 4], [1, 0]])
@@ -117,19 +118,28 @@ class TestOrthogonalComplement:
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateForm):
-            orthogonal_complement(GramSpace(F3, [[0]]), Subspace.full(F3, 1))
+            orthogonal_complement(GramSpace(F3, [[0]]),
+                                  Subspace.span(F3, 1, [[1]]))
 
     def test_zero_subspace_gives_everything(self):
         for field in (F3, F5, QQ):
             for gram in ([], [[2]], H, block_diag(H, [[-1]])):
                 space = GramSpace(field, gram)
-                zero = Subspace.zero_subspace(field, space.dim)
-                assert orthogonal_complement(space, zero) == Subspace.full(
-                    field, space.dim)
+                zero = Subspace.span(field, space.dim, [])
+                assert orthogonal_complement(space, zero) == Subspace.span(
+                    field, space.dim, oracles.identity_rows(space.dim))
 
     def test_ambient_mismatch(self):
         with pytest.raises(AmbientMismatch):
-            orthogonal_complement(GramSpace(F3, H), Subspace.full(F3, 3))
+            orthogonal_complement(GramSpace(F3, H),
+                                  Subspace.span(F3, 3, oracles.identity_rows(3)))
+
+    def test_subspace_over_another_field_refused(self):
+        space = GramSpace(F3, block_diag(H, [[1]]))
+        for field in (F5, QQ):
+            s = Subspace.span(field, 3, [[1, 0, 0], [0, 1, 3]])
+            with pytest.raises(MixedContexts):
+                orthogonal_complement(space, s)
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_dimension_law_involution_and_oracle(self, p):
@@ -169,11 +179,12 @@ class TestIsIsotropic:
         s = GramSpace(F3, block_diag(H, H))
         assert is_isotropic(s, Subspace.span(F3, 4, [[1, 0, 0, 0], [0, 0, 1, 0]]))
         assert not is_isotropic(s, Subspace.span(F3, 4, [[1, 1, 0, 0]]))
-        assert is_isotropic(s, Subspace.zero_subspace(F3, 4))
+        assert is_isotropic(s, Subspace.span(F3, 4, []))
 
     def test_ambient_mismatch(self):
         with pytest.raises(AmbientMismatch):
-            is_isotropic(GramSpace(F3, H), Subspace.full(F3, 3))
+            is_isotropic(GramSpace(F3, H),
+                         Subspace.span(F3, 3, oracles.identity_rows(3)))
 
 
 class TestWittDecomposition:
@@ -437,7 +448,7 @@ class TestStandardFormAndExtension:
 class TestIsometryCheck:
     def test_identity_and_flip(self):
         w = extend_by_scalar(standard_form(F5, 1, "odd"), 2)
-        assert isometry_check(w, w, Matrix.identity(F5, 4))
+        assert isometry_check(w, w, Matrix.diagonal(F5, [1] * 4))
         flip = Matrix.diagonal(F5, [1, 1, 1, -1])
         assert isometry_check(w, w, flip)
 
@@ -458,19 +469,19 @@ class TestIsometryCheck:
     def test_non_isometry_and_singular(self):
         s = GramSpace(F3, H)
         t = GramSpace(F3, [[1, 0], [0, 1]])
-        assert not isometry_check(s, t, Matrix.identity(F3, 2))
-        assert not isometry_check(s, s, Matrix.zero(F3, 2, 2))
+        assert not isometry_check(s, t, Matrix.diagonal(F3, [1, 1]))
+        assert not isometry_check(s, s, Matrix(F3, [[0, 0], [0, 0]]))
 
     def test_shape_and_field_checks(self):
         with pytest.raises(DimMismatch):
             isometry_check(GramSpace(F3, H), GramSpace(F3, [[1]]),
-                           Matrix.identity(F3, 2))
+                           Matrix.diagonal(F3, [1, 1]))
         with pytest.raises(DimMismatch):
             isometry_check(GramSpace(F3, H), GramSpace(F3, H),
-                           Matrix.identity(F3, 3))
+                           Matrix.diagonal(F3, [1] * 3))
         with pytest.raises(MixedContexts):
             isometry_check(GramSpace(F3, H), GramSpace(F5, H),
-                           Matrix.identity(F3, 2))
+                           Matrix.diagonal(F3, [1, 1]))
 
 
 class TestMumfordSym2Form:
