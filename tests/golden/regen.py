@@ -322,6 +322,33 @@ def _verify_cases():
     return cases
 
 
+def _parser_path_cases():
+    """Which command's parser reads the argv: help before and after the
+    group and command names, a misspelt command, options before the suite,
+    an option value that names another command, and "--" separators."""
+    return [
+        ["-h", "og"],
+        ["og", "-h", "lift"],
+        ["strata", "table", "--g", "3", "-h"],
+        ["strata", "-h", "table", "--g", "3"],
+        ["verify", "parity", "-h"],
+        ["strata", "tabel"],
+        ["strata", "tabel", "--g", "3", "--n", "1"],
+        ["og", "enumerat", "--q", "3", "--n", "1"],
+        ["verify", "--n", "1", "parity"],
+        ["og", "verify", "--q", "5", "--n", "1", "corank"],
+        ["og", "enumerate", "--shape", "lift", "--q", "3", "--n", "1"],
+        ["og", "lift", "--q", "5", "--n", "1", "--c", "1", "--e", "[[1,0,0]]",
+         "--shape", "odd"],
+        ["strata", "stratum", "--g", "3", "--n", "2", "--t", "8", "table"],
+        ["verify", "--n", "1", "--", "parity"],
+        ["og", "verify", "--", "tables"],
+        ["--", "strata", "table", "--g", "3", "--n", "1"],
+        ["strata", "--", "table", "--g", "3", "--n", "1"],
+        ["strata", "table", "--g", "3", "--n", "1", "--"],
+    ]
+
+
 def _usage_cases():
     return [
         [],
@@ -348,7 +375,8 @@ def _usage_cases():
 
 
 CASES = (_help_cases() + _strata_cases() + _enumerate_cases() + _lift_cases()
-         + _component_cases() + _verify_cases() + _usage_cases())
+         + _component_cases() + _verify_cases() + _usage_cases()
+         + _parser_path_cases())
 
 
 def case_id(argv):
