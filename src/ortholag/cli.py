@@ -6,12 +6,16 @@ built-in verification sweeps (also reachable as `og verify`).  Exit codes:
 0 on success, 1 on domain errors or failed verification, 2 on usage errors,
 which include a verify option that the suite's signature does not take.
 
-Importing this module loads no layer but `errors`, and building the parser
-loads none.  Each command imports what it runs when it runs: `strata` the
-closed-form layer (and `jsonio` for `--json`), `og` the numeric layers, and
-`verify` the suites, whose `tables` and `exceptions` need only `strata`.
+Importing this module loads no layer but `errors`.  A parse makes only the
+parsers on its argv's path through COMMANDS; every other command costs only
+its name and help.  Each command imports what it runs when it runs:
+`strata` the closed-form layer, `jsonio` for `--json`, and `fractions` only
+for `bounds`; `og` the numeric layers, and `jsonio` only to read or write
+JSON, so `og enumerate --count-only --n` skips it; `verify` the suites, where
+`tables` and `exceptions` load only `strata` and the others never load it.
 `og enumerate --count-only` prints the closed-form count after the same
-refusals as the enumeration, without enumerating.
+refusals as the enumeration, except its limit on the number of Lagrangians,
+without enumerating.
 """
 
 import argparse
@@ -30,79 +34,83 @@ VERIFY_OPTS = {"--n": "n", "--q": "q", "--c": "c", "--cap": "cap",
                "--samples": "samples", "--seed": "seed", "--gmax": "g_max",
                "--nmax": "n_max"}
 
+INT = {"type": int, "required": True}
+JSON = ("--json", {"action": "store_true"})
+VERIFY = [("suite", {"choices": SUITE_NAMES})] + [
+    (flag, {"dest": key, "metavar": flag[2:].upper(),
+            "type": None if key == "c" else int})
+    for flag, key in VERIFY_OPTS.items()]
+
+# The command tree: a group maps each name to (help, node), and a command is
+# its list of (name or flag, add_argument keywords).
+COMMANDS = {
+    "strata": ("closed-form dimension calculators", {
+        "table": ("general-bundle rows for fixed (g, n)",
+                  [("--g", INT), ("--n", INT), JSON]),
+        "stratum": ("one stratum row at (g, n, t)",
+                    [("--g", INT), ("--n", INT), ("--t", INT), JSON]),
+        "bounds": ("all bounds at (g, n)", [("--g", INT), ("--n", INT), JSON]),
+        "exceptions": ("where the subbundle bound is not strict",
+                       [("--gmax", {"type": int, "default": 10}),
+                        ("--nmax", {"type": int, "default": 20}), JSON]),
+    }),
+    "og": ("orthogonal Grassmannians over F_q", {
+        "enumerate": ("all Lagrangians of a split form", [
+            ("--shape", {"choices": ("even", "odd"), "default": "even"}),
+            ("--n", {"type": int}), ("--q", INT),
+            ("--gram", {"help": "inline JSON Gram matrix overriding "
+                                "--shape/--n"}),
+            ("--gram-file", {"help": "file with the JSON Gram matrix"}),
+            ("--count-only", {"action": "store_true"}),
+            ("--cap", {"type": int}), JSON]),
+        "lift": ("both Lagrangian lifts into the extension by c", [
+            ("--q", INT), ("--n", INT), ("--c", {"required": True}),
+            ("--e", {"help": "inline JSON basis of the odd Lagrangian"}),
+            ("--e-file", {"help": "file with the JSON basis"})]),
+        "component": ("component label relative to a reference", [
+            ("--q", INT), ("--n", INT),
+            ("--e", {"help": "inline JSON basis of the Lagrangian"}),
+            ("--e-file", {}),
+            ("--ref", {"help": "inline JSON basis of the reference"}),
+            ("--ref-file", {}), JSON]),
+        "verify": ("run a verification sweep", VERIFY),
+    }),
+    "verify": ("run a verification sweep", VERIFY),
+}
+
+
+def _parser(node, dest, **kwargs):
+    """The parser of one node of COMMANDS.  A group's commands are _Lazy, so
+    a parse makes only the parsers on its argv's path; the others cost only
+    their name and help, which is all that the group's help and choice
+    errors show."""
+    p = argparse.ArgumentParser(**kwargs)
+    if isinstance(node, dict):
+        cmds = p.add_subparsers(dest=dest, required=True, parser_class=_Lazy)
+        for name, (help_, child) in node.items():
+            cmds.add_parser(name, help=help_, node=child)
+    else:
+        for flag, opts in node:
+            p.add_argument(flag, **opts)
+        p.set_defaults(usage_error=p.error)
+    return p
+
+
+class _Lazy:
+    """Stands in for a command's parser until argparse hands it the argv."""
+
+    def __init__(self, node, **kwargs):
+        self.node, self.kwargs = node, kwargs
+
+    def parse_known_args(self, args, namespace):
+        return _parser(self.node, "cmd", **self.kwargs).parse_known_args(
+            args, namespace)
+
 
 def _build_parser():
-    ap = argparse.ArgumentParser(
-        prog="ortholag",
-        description="Exact computations with split orthogonal spaces, "
-                    "Lagrangian subspaces and stratum dimension formulas.")
-    groups = ap.add_subparsers(dest="group", required=True)
-
-    st = groups.add_parser("strata", help="closed-form dimension calculators")
-    st_cmds = st.add_subparsers(dest="cmd", required=True)
-
-    p = st_cmds.add_parser("table", help="general-bundle rows for fixed (g, n)")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-
-    p = st_cmds.add_parser("stratum", help="one stratum row at (g, n, t)")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-
-    p = st_cmds.add_parser("bounds", help="all bounds at (g, n)")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-
-    p = st_cmds.add_parser("exceptions",
-                           help="where the subbundle bound is not strict")
-    p.add_argument("--gmax", type=int, default=10)
-    p.add_argument("--nmax", type=int, default=20)
-    p.add_argument("--json", action="store_true")
-
-    og = groups.add_parser("og", help="orthogonal Grassmannians over F_q")
-    og_cmds = og.add_subparsers(dest="cmd", required=True)
-
-    p = og_cmds.add_parser("enumerate", help="all Lagrangians of a split form")
-    p.add_argument("--shape", choices=("even", "odd"), default="even")
-    p.add_argument("--n", type=int)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--gram", help="inline JSON Gram matrix overriding --shape/--n")
-    p.add_argument("--gram-file", help="file with the JSON Gram matrix")
-    p.add_argument("--count-only", action="store_true")
-    p.add_argument("--cap", type=int)
-    p.add_argument("--json", action="store_true")
-
-    p = og_cmds.add_parser("lift",
-                           help="both Lagrangian lifts into the extension by c")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--c", required=True)
-    p.add_argument("--e", help="inline JSON basis of the odd Lagrangian")
-    p.add_argument("--e-file", help="file with the JSON basis")
-
-    p = og_cmds.add_parser("component",
-                           help="component label relative to a reference")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--e", help="inline JSON basis of the Lagrangian")
-    p.add_argument("--e-file")
-    p.add_argument("--ref", help="inline JSON basis of the reference")
-    p.add_argument("--ref-file")
-    p.add_argument("--json", action="store_true")
-
-    for parent in (og_cmds, groups):
-        p = parent.add_parser("verify", help="run a verification sweep")
-        p.add_argument("suite", choices=SUITE_NAMES)
-        for flag, key in VERIFY_OPTS.items():
-            p.add_argument(flag, dest=key, metavar=flag[2:].upper(),
-                           type=None if key == "c" else int)
-        p.set_defaults(usage_error=p.error)
-
-    return ap
+    return _parser(COMMANDS, "group", prog="ortholag", description=(
+        "Exact computations with split orthogonal spaces, Lagrangian "
+        "subspaces and stratum dimension formulas."))
 
 
 def _json_payload(inline, path, what, rows_key, **shape):
@@ -177,16 +185,15 @@ def _cmd_strata(args):
 
 def _cmd_og(args):
     from .fields import GF
-    from .jsonio import (gramspace_from_json, liftpair_to_json,
-                         scalar_from_json, subspace_from_json, subspace_to_json)
-    from .lagrange import (DEFAULT_ENUM_CAP, _split_form, _split_witt,
-                           component_of, enumerate_lagrangians,
-                           lagrangian_count, lift_odd_to_even)
+    from .lagrange import (DEFAULT_ENUM_CAP, _space_count, _split_form,
+                           _split_witt, component_of, enumerate_lagrangians,
+                           lift_odd_to_even)
     from .orthospace import _split_dim, standard_form
     field = GF(args.q)
     if args.cmd == "enumerate":
         cap = DEFAULT_ENUM_CAP if args.cap is None else args.cap
         if args.gram is not None or args.gram_file is not None:
+            from .jsonio import gramspace_from_json
             space = gramspace_from_json(_json_payload(
                 args.gram, args.gram_file, "Gram matrix", "gram",
                 field={"type": "Fp", "p": args.q}))
@@ -196,19 +203,19 @@ def _cmd_og(args):
             space = _split_form(field, args.n, args.shape, cap)
         if args.count_only:
             _split_witt(space, cap)
-            n = space.dim // 2
-            # in dimensions 0 and 1 the zero subspace is the one Lagrangian
-            print(lagrangian_count(space.field.p, n,
-                                   "odd" if space.dim % 2 else "even")
-                  if n else 1)
+            print(_space_count(space))
             return 0
         lag = enumerate_lagrangians(space, cap=cap)
+        from .jsonio import subspace_to_json
         if args.json:
             _print_json([subspace_to_json(s) for s in lag])
         else:
             for s in lag:
                 _print_json(subspace_to_json(s))
-    elif args.cmd == "lift":
+        return 0
+    from .jsonio import (liftpair_to_json, scalar_from_json,
+                         subspace_from_json)
+    if args.cmd == "lift":
         d = _split_dim(args.n, "odd")
         e = subspace_from_json(field, _json_payload(
             args.e, args.e_file, "--e", "basis", ambient=d))

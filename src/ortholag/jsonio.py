@@ -6,16 +6,16 @@ for non-integral rationals; a subspace is {"ambient": d, "basis": [[...]]};
 a Gram space is {"field": {...}, "gram": [[...]]}.
 
 Each function imports the layers it needs when it runs, so
-stratum_row_to_json, rational_to_json and _fraction load no numeric layer.
+stratum_row_to_json, rational_to_json and _fraction load no numeric layer,
+and only _fraction imports fractions.
 """
-
-from fractions import Fraction
 
 from .errors import MalformedInput, UnsupportedContext
 
 
 def _fraction(text):
     """Fraction(text), with unreadable text raised as MalformedInput."""
+    from fractions import Fraction
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

@@ -22,6 +22,9 @@ from .orthospace import (_binary_zero, _extension_scalar, _split_dim,
                          witt_decompose)
 
 DEFAULT_ENUM_CAP = 8
+# the most Lagrangians enumerate_lagrangians returns: 10^5 of them take
+# about 10 s and 150 MB
+MAX_LAGRANGIANS = 10 ** 5
 
 SAME = "same"
 OTHER = "other"
@@ -138,15 +141,28 @@ def _split_witt(space, cap):
     return wd
 
 
+def _space_count(space):
+    """lagrangian_count for a split space; in dimensions 0 and 1 the zero
+    subspace is the one Lagrangian."""
+    n = space.dim // 2
+    return lagrangian_count(space.field.p, n, "odd" if space.dim % 2
+                            else "even") if n else 1
+
+
 def enumerate_lagrangians(space, cap=DEFAULT_ENUM_CAP):
     """All Lagrangians of a split space over F_p, in canonical order.
 
     In the Witt basis of witt_decompose the Lagrangians fall into the cells
     of the recursion in _cells, so each is produced exactly once and none is
-    deduplicated; lagrangian_count gives their number.  Refuses dimensions
-    above the cap because that count grows roughly like p^(dim^2/4).
+    deduplicated; lagrangian_count gives their number.  That count grows
+    roughly like p^(dim^2/4), so dimensions above the cap are refused, and
+    then, before any cell is made, more than MAX_LAGRANGIANS Lagrangians.
     """
     wd = _split_witt(space, cap)
+    count = _space_count(space)
+    if count > MAX_LAGRANGIANS:
+        raise CapExceeded(f"{count} Lagrangians exceed the enumeration limit "
+                          f"{MAX_LAGRANGIANS}")
     field, p = space.field, space.field.p
     to_ambient = _raw(wd.change_of_basis.T)
     lagrangians = (Subspace.span(field, space.dim, _matmul(rows, to_ambient, p))

@@ -7,10 +7,10 @@ degree; it is always even and the values taken by a general bundle depend
 on N = (n+1)(g-1) modulo 4.  A stratum's dimension is that of its extension
 parameter space (param_space_dim) minus that of its family of maximal
 Lagrangians (h0_wedge2), at e = t/2.  All arithmetic is int arithmetic
-except hn_bound, which is a Fraction.
+except hn_bound, which is a Fraction; only hn_bound imports fractions, so
+the other formulas load no module but errors.
 """
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import OutOfRange
@@ -52,8 +52,9 @@ def sharp_bound(p: CurveParams) -> int:
     return p.N + 3
 
 
-def hn_bound(p: CurveParams) -> Fraction:
+def hn_bound(p: CurveParams) -> "Fraction":
     """The coarser bound n(n+1)g/(n-1), as an exact rational; needs n >= 2."""
+    from fractions import Fraction
     if p.n < 2:
         raise OutOfRange("the bound is undefined for n = 1")
     return Fraction(p.n * (p.n + 1) * p.g, p.n - 1)

@@ -2,16 +2,20 @@
 
 Each suite returns a list of Check records; the CLI prints one PASS/FAIL
 line per check.  Suites are deterministic: enumeration orders are canonical
-and the random sweep takes an explicit seed.  The numeric suites import the
-numeric layers when they run, so `tables` and `exceptions` load only strata.
+and the random sweep takes an explicit seed.  Each suite imports the layers
+it runs when it runs: `tables` and `exceptions` load only strata, and the
+numeric suites load the numeric layers but not strata.  The parity and
+corank suites compare every ordered pair of Lagrangians, so they refuse
+before enumerating when there would be more than MAX_PAIRS pairs.
 """
 
 import itertools
-import random
 from typing import NamedTuple
 
-from .errors import OutOfRange
-from .strata import CurveParams, hirschowitz_exceptions, mod4_table, moduli_dim
+from .errors import CapExceeded, OutOfRange
+
+# the most ordered pairs of Lagrangians the parity and corank suites compare
+MAX_PAIRS = 10 ** 5
 
 
 class Check(NamedTuple):
@@ -32,12 +36,23 @@ def intersection_parity_masks(lagrangians, n):
     return masks
 
 
+def _pair_family(n, q, shape, cap):
+    """The split space of the shape over F_q and its Lagrangians, refused
+    before enumerating if they make more than MAX_PAIRS ordered pairs."""
+    from .fields import GF
+    from .lagrange import _split_form, enumerate_lagrangians, lagrangian_count
+    space = _split_form(GF(q), n, shape, cap)
+    pairs = lagrangian_count(q, n, shape) ** 2
+    if pairs > MAX_PAIRS:
+        raise CapExceeded(f"{pairs} pairs of Lagrangians exceed the "
+                          f"verification limit {MAX_PAIRS}")
+    return space, enumerate_lagrangians(space, cap=cap)
+
+
 def parity_suite(n=2, q=3, cap=8):
     """Component labels partition the even Lagrangians into two equal classes."""
-    from .fields import GF
-    from .lagrange import _split_form, component_of, enumerate_lagrangians
-    space = _split_form(GF(q), n, "even", cap)
-    lag = enumerate_lagrangians(space, cap=cap)
+    from .lagrange import component_of
+    space, lag = _pair_family(n, q, "even", cap)
     ref = lag[0]
     labels = [component_of(space, f, ref).same for f in lag]
     same_ct = sum(labels)
@@ -121,11 +136,8 @@ def two_to_one_suite(n=1, q=3, c=-1, cap=8):
 
 def corank_suite(n=2, q=3, cap=8):
     """Complements of odd Lagrangians always meet in dimension r + 1."""
-    from .fields import GF
-    from .lagrange import (_split_form, complement_corank_law,
-                           enumerate_lagrangians)
-    odd = _split_form(GF(q), n, "odd", cap)
-    lag = enumerate_lagrangians(odd, cap=cap)
+    from .lagrange import complement_corank_law
+    odd, lag = _pair_family(n, q, "odd", cap)
     bad = 0
     for a in lag:
         for b in lag:
@@ -155,6 +167,8 @@ WITT_MAX_DIM = 6
 
 def witt_suite(samples=200, seed=0):
     """Random and exhaustive Witt decomposition checks over F_3 and F_5."""
+    import random
+
     from .fields import GF
     from .linalg import Matrix
     from .orthospace import GramSpace, isometry_check, witt_decompose
@@ -226,6 +240,7 @@ EXPECTED_TABLES = {
 
 def tables_suite():
     """General-bundle tables for one representative of each N mod 4 class."""
+    from .strata import CurveParams, mod4_table, moduli_dim
     checks = []
     for (g, n), want in sorted(EXPECTED_TABLES.items()):
         p = CurveParams(g, n)
@@ -260,6 +275,7 @@ def exception_families(g_max, n_max):
 
 def exceptions_suite(g_max=10, n_max=20):
     """Direct bound comparison reproduces exactly the four known families."""
+    from .strata import hirschowitz_exceptions
     got = set(hirschowitz_exceptions(g_max, n_max))
     want = exception_families(g_max, n_max)
     extra = sorted(got - want)

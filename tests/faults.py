@@ -73,6 +73,32 @@ FAULTS = [
     ("fields.py", "    if p == 2:\n"
      '        raise UnsupportedContext("characteristic 2 is not supported")\n',
      "", ["tests/test_fields.py"]),
+    # a command built without one of its options
+    ("cli.py", '[("--g", INT), ("--n", INT), JSON]),\n        "exceptions"',
+     '[("--g", INT), ("--n", INT)]),\n        "exceptions"',
+     ["tests/test_cli.py"]),
+    # a group's command parser writing the group's dest, not "cmd"
+    ("cli.py", '_parser(self.node, "cmd", **self.kwargs)',
+     '_parser(self.node, "group", **self.kwargs)', ["tests/test_cli.py"]),
+    # the bound computed by float division
+    ("strata.py", "return Fraction(p.n * (p.n + 1) * p.g, p.n - 1)",
+     "return p.n * (p.n + 1) * p.g / (p.n - 1)",
+     ["tests/test_strata.py", "tests/test_cli.py"]),
+    # the output limit refusing a count equal to it
+    ("lagrange.py", "if count > MAX_LAGRANGIANS:",
+     "if count >= MAX_LAGRANGIANS:", ["tests/test_lagrange.py"]),
+    # the pair limit compared with the count of Lagrangians, not of pairs
+    ("verify.py", "pairs = lagrangian_count(q, n, shape) ** 2",
+     "pairs = lagrangian_count(q, n, shape)", ["tests/test_verify.py"]),
+    # the closed-form layer loaded by every suite
+    ("verify.py", "from .errors import CapExceeded, OutOfRange\n",
+     "from .errors import CapExceeded, OutOfRange\nfrom .strata import "
+     "CurveParams\n", ["tests/test_imports.py"]),
+    # fractions loaded by every JSON command
+    ("jsonio.py", "from .errors import MalformedInput, UnsupportedContext\n",
+     "from fractions import Fraction\n\n"
+     "from .errors import MalformedInput, UnsupportedContext\n",
+     ["tests/test_imports.py"]),
 ]
 
 

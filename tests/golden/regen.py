@@ -349,6 +349,22 @@ def _parser_path_cases():
     ]
 
 
+def _limit_cases():
+    """Work refused on its predicted size: more Lagrangians than
+    enumerate_lagrangians returns (the count alone is still printed), and
+    more pairs of them than the parity and corank suites compare."""
+    enum = ["og", "enumerate"]
+    return [
+        enum + ["--q", "101", "--n", "3"],
+        enum + ["--q", "7", "--n", "4", "--json"],
+        enum + ["--q", "7", "--n", "4", "--count-only"],
+        ["verify", "corank", "--q", "3", "--n", "3"],
+        ["verify", "corank", "--q", "7", "--n", "2"],
+        ["verify", "parity", "--q", "3", "--n", "4"],
+        ["og", "verify", "parity", "--q", "101", "--n", "3"],
+    ]
+
+
 def _usage_cases():
     return [
         [],
@@ -376,7 +392,7 @@ def _usage_cases():
 
 CASES = (_help_cases() + _strata_cases() + _enumerate_cases() + _lift_cases()
          + _component_cases() + _verify_cases() + _usage_cases()
-         + _parser_path_cases())
+         + _parser_path_cases() + _limit_cases())
 
 
 def case_id(argv):

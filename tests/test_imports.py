@@ -1,5 +1,6 @@
 """The lazy package namespace and the layers each CLI command loads."""
 
+import functools
 import importlib
 import os
 import subprocess
@@ -40,15 +41,34 @@ NUMERIC = ("ortholag.linalg", "ortholag.orthospace", "ortholag.lagrange")
 
 
 def loaded_after(code):
-    """The ortholag modules loaded in a fresh interpreter after running code."""
-    code += ("\nimport sys\n"
-             "print(' '.join(sorted(m for m in sys.modules "
-             "if m.startswith('ortholag'))))")
+    """The modules loaded in a fresh interpreter after running code."""
+    code += "\nimport sys\nprint(' '.join(sorted(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.splitlines()[-1].split())
+
+
+def ours(modules):
+    return {m for m in modules if m.startswith("ortholag")}
+
+
+@functools.lru_cache(maxsize=None)
+def bare_modules():
+    """What the interpreter loads before any code runs; site may load
+    modules such as fractions on some hosts."""
+    return loaded_after("pass")
+
+
+def loaded_by(argv, exit_code=0):
+    """The modules that `ortholag argv`, run through cli.main in a fresh
+    interpreter, loads beyond a bare one."""
+    code = ("import contextlib, io\n"
+            "from ortholag.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == {exit_code!r}\n")
+    return loaded_after(code) - bare_modules()
 
 
 @pytest.mark.parametrize("home,name", [(home, name)
@@ -82,20 +102,19 @@ def test_unknown_attribute_raises():
 
 
 def test_cli_suite_choices_are_the_suites():
-    parser = cli._build_parser()
-    groups = parser._subparsers._group_actions[0].choices
-    og = groups["og"]._subparsers._group_actions[0].choices
-    for sub in (groups["verify"], og["verify"]):
-        suite = next(a for a in sub._actions if a.dest == "suite")
+    for argv in (["verify", "tables"], ["og", "verify", "tables"]):
+        # the parser that parse_args made for the verify command
+        command = cli._build_parser().parse_args(argv).usage_error.__self__
+        suite = next(a for a in command._actions if a.dest == "suite")
         assert list(suite.choices) == sorted(verify.SUITES)
 
 
 def test_package_import_loads_no_layer():
-    assert loaded_after("import ortholag") == {"ortholag"}
+    assert ours(loaded_after("import ortholag")) == {"ortholag"}
 
 
 def test_cli_import_loads_only_errors():
-    assert loaded_after("import ortholag.cli") == {
+    assert ours(loaded_after("import ortholag.cli")) == {
         "ortholag", "ortholag.cli", "ortholag.errors"}
 
 
@@ -104,12 +123,32 @@ def test_cli_import_loads_only_errors():
     ["strata", "bounds", "--g", "3", "--n", "2"],
     ["verify", "tables"],
     ["verify", "exceptions"],
+    ["strata", "stratum", "--g", "3", "--n", "2", "--t", "8", "--json"],
+    ["strata", "exceptions", "--gmax", "4", "--nmax", "3"],
 ])
 def test_closed_form_commands_leave_numeric_layers_unloaded(argv):
-    code = ("import contextlib, io\n"
-            "from ortholag.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert main({argv!r}) == 0\n")
-    loaded = loaded_after(code)
+    loaded = loaded_by(argv)
     assert "ortholag.strata" in loaded
     assert not loaded & set(NUMERIC)
+    # only hn_bound, for bounds, makes a Fraction
+    assert ("fractions" in loaded) == (argv[1] == "bounds")
+
+
+@pytest.mark.parametrize("argv,exit_code", [
+    (["verify", "parity", "--n", "1"], 0),
+    (["verify", "bijection"], 0),
+    (["verify", "two_to_one"], 0),
+    (["verify", "corank", "--n", "1"], 0),
+    (["verify", "witt", "--samples", "-1"], 1),
+])
+def test_numeric_suites_leave_strata_unloaded(argv, exit_code):
+    loaded = loaded_by(argv, exit_code)
+    assert "ortholag.lagrange" in loaded or "ortholag.orthospace" in loaded
+    assert "ortholag.strata" not in loaded
+
+
+def test_count_only_leaves_jsonio_unloaded():
+    loaded = loaded_by(["og", "enumerate", "--q", "3", "--n", "2",
+                        "--count-only"])
+    assert "ortholag.lagrange" in loaded
+    assert "ortholag.jsonio" not in loaded

@@ -113,6 +113,27 @@ class TestEnumeration:
         with pytest.raises(CapExceeded):
             enumerate_lagrangians(standard_form(F3, 2, "even"), cap=3)
 
+    def test_output_limit_refuses_before_any_cell(self, monkeypatch):
+        from ortholag import lagrange
+
+        def no_cells(*args):
+            raise AssertionError("cells made past the limit")
+        monkeypatch.setattr(lagrange, "_cells", no_cells)
+        # 2 * 102 * 10202 Lagrangians in dimension 6, under the cap
+        with pytest.raises(CapExceeded, match="^2081208 Lagrangians exceed "
+                           "the enumeration limit 100000$"):
+            enumerate_lagrangians(standard_form(GF(101), 3, "even"))
+
+    def test_output_limit_is_inclusive(self, monkeypatch):
+        from ortholag import lagrange
+        space = standard_form(F3, 2, "even")
+        monkeypatch.setattr(lagrange, "MAX_LAGRANGIANS", 8)
+        assert len(enumerate_lagrangians(space)) == 8
+        monkeypatch.setattr(lagrange, "MAX_LAGRANGIANS", 7)
+        with pytest.raises(CapExceeded, match="^8 Lagrangians exceed the "
+                           "enumeration limit 7$"):
+            enumerate_lagrangians(space)
+
     def test_not_split(self):
         with pytest.raises(NotSplit):
             enumerate_lagrangians(GramSpace(F3, [[1, 0], [0, 1]]))

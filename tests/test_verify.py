@@ -5,7 +5,7 @@ import inspect
 
 import pytest
 
-from ortholag import OutOfRange
+from ortholag import CapExceeded, OutOfRange
 from ortholag.verify import (SUITES, bijection_suite, corank_suite,
                              exception_families, exceptions_suite,
                              parity_suite, suite_options,
@@ -43,6 +43,32 @@ def test_two_to_one_suite():
 def test_corank_suite():
     assert_all_ok(corank_suite(n=1, q=3))
     assert_all_ok(corank_suite(n=1, q=5))
+
+
+@pytest.mark.parametrize("suite,kwargs,pairs", [
+    (corank_suite, {"n": 3, "q": 3}, 1120 ** 2),
+    (corank_suite, {"n": 2, "q": 7}, 400 ** 2),
+    (parity_suite, {"n": 4, "q": 3}, 2240 ** 2),
+])
+def test_pair_limit_refuses_before_enumerating(monkeypatch, suite, kwargs,
+                                               pairs):
+    from ortholag import lagrange
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated past the pair limit")
+    monkeypatch.setattr(lagrange, "enumerate_lagrangians", no_enumeration)
+    with pytest.raises(CapExceeded, match=f"^{pairs} pairs of Lagrangians "
+                       "exceed the verification limit 100000$"):
+        suite(**kwargs)
+
+
+def test_pair_limit_is_inclusive(monkeypatch):
+    from ortholag import verify
+    monkeypatch.setattr(verify, "MAX_PAIRS", 64)
+    assert_all_ok(parity_suite(n=2, q=3))
+    monkeypatch.setattr(verify, "MAX_PAIRS", 63)
+    with pytest.raises(CapExceeded, match="^64 pairs"):
+        parity_suite(n=2, q=3)
 
 
 def test_witt_suite_small():
