@@ -92,6 +92,7 @@ def _parser(node, dest, **kwargs):
     else:
         for flag, opts in node:
             p.add_argument(flag, **opts)
+        # verify refuses, after the parse, an option its suite does not take
         p.set_defaults(usage_error=p.error)
     return p
 
